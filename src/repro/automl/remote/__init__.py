@@ -1,21 +1,25 @@
 """Remote tune service: HTTP/JSON wire layer over :class:`AntTuneServer`.
 
-The event-driven control plane (PR 4) publishes every job's lifecycle as one
+The event-driven control plane publishes every job's lifecycle as one
 ordered stream; this package puts that substrate on the network:
 
 * :mod:`repro.automl.remote.api` — the versioned JSON wire schema: request
   validation, event serialisation (via :func:`repro.automl.events.event_to_wire`),
   ``module:attr`` code references and typed protocol errors.
 * :mod:`repro.automl.remote.http_server` — :class:`RemoteTuneServer`, a
-  stdlib-only threaded HTTP server wrapping an in-process
+  stdlib-only HTTP server wrapping an in-process
   :class:`~repro.automl.server.AntTuneServer`: submit/resume/status/wait/
   cancel/list endpoints plus a resumable NDJSON event stream per job.
+* :mod:`repro.automl.remote.edge` — :class:`AsyncHTTPEdge`, the one
+  transport both servers speak HTTP through: a single ``selectors`` event
+  loop multiplexing every connection, with parked ``/wait`` requests and
+  batched stream frames.
 * :mod:`repro.automl.remote.client` — :class:`AntTuneClient`, the SDK-side
   mirror of the in-process API (``submit``/``poll``/``wait``/``cancel``/
   ``subscribe``) speaking the wire schema, with reconnect-and-replay on
   dropped event streams.
 
-The fleet tier (PR 8) scales one server out to many:
+The fleet tier scales one server out to many:
 
 * :mod:`repro.automl.remote.router` — :class:`TuneRouter` /
   :class:`RemoteRouterServer`, a front tier fanning submits across backends

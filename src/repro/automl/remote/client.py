@@ -347,7 +347,11 @@ class AntTuneClient:
         reconnects transparently, resuming from the highest ``seq`` already
         yielded — no duplicates, no gaps, even when the *server process
         itself* was killed and restarted in between (the replay then comes
-        off disk; see the module docs for the retry budget).
+        off disk; see the module docs for the retry budget).  A stream that
+        skips seqs (live frames shed by a bounded server queue) is closed
+        and re-requested from the last contiguous seq, so the durable-log
+        backfill fills the hole; a hole the server cannot fill either (its
+        log was compacted past it) is passed through on the second sight.
 
         Args:
             job_id: the job to follow.
@@ -362,8 +366,10 @@ class AntTuneClient:
                 kept failing without progress.
         """
         retries = 0
+        gap_refetched_after: Optional[int] = None
         while True:
             made_progress = False
+            gap = False
             try:
                 response = self._open_stream(job_id, last_seq, max_queue)
             except _ServerUnreachable:
@@ -385,6 +391,11 @@ class AntTuneClient:
                     event = event_from_wire(json.loads(line.decode("utf-8")))
                     if event.seq <= last_seq:
                         continue  # replay overlap after a reconnect
+                    if (event.seq > last_seq + 1
+                            and gap_refetched_after != last_seq):
+                        gap_refetched_after = last_seq
+                        gap = True
+                        break
                     last_seq = event.seq
                     made_progress = True
                     retries = 0
@@ -397,6 +408,8 @@ class AntTuneClient:
                 failure = exc
             finally:
                 response.close()
+            if gap:
+                continue  # re-request the hole at once; it is not a failure
             # Reconnect: either the connection failed, or the server closed
             # the stream without a terminal event (shed queue tail, handler
             # error).  Repeated attempts that deliver nothing new give up.

@@ -1,10 +1,10 @@
 """The C10k serving edge: a stdlib ``selectors`` event loop for HTTP/JSON.
 
-The remote layer's original transport was thread-per-connection
-(``ThreadingHTTPServer``): every NDJSON event stream owned a handler thread
-for its lifetime and every parked ``/wait`` pinned one more, capping a
-backend at a few dozen concurrent streaming clients.  This module replaces
-that transport with one I/O thread multiplexing **all** sockets:
+A thread-per-connection transport gives every NDJSON event stream a
+handler thread for its lifetime and pins one more per blocked ``/wait``,
+capping a backend at a few dozen concurrent streaming clients.  This module
+is the remote layer's only transport: one I/O thread multiplexing **all**
+sockets:
 
 * **One event loop** (:class:`AsyncHTTPEdge`) owns every connection: a
   non-blocking listener, incremental HTTP/1.1 request parsing straight off
@@ -52,7 +52,7 @@ through a small duck-typed protocol::
 ``handle_control`` / ``wait_begin`` / ``stream_begin`` run on worker-pool
 threads and may raise :class:`~repro.automl.remote.api.ProtocolError` /
 :class:`~repro.exceptions.TrialError` — the edge maps them to the same
-4xx/404/409/500 JSON error taxonomy as the threaded transport.
+4xx/404/409/500 JSON error taxonomy.
 
 Everything here is stdlib-only, like the rest of the remote layer.
 """
@@ -83,9 +83,8 @@ MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1 << 20
 _RECV_CHUNK = 64 * 1024
 
-# Request metrics are shared with the threaded transport (http_server
-# aliases these): one latency histogram and one status counter per route
-# template, whichever edge served the request.
+# Request metrics: one latency histogram and one status counter per route
+# template, shared by every app the edge serves.
 _HTTP_SECONDS = _metrics.REGISTRY.histogram(
     "anttune_http_request_seconds",
     "HTTP request handling latency by method and route template.",
@@ -399,9 +398,6 @@ class AsyncHTTPEdge:
             docstring for the protocol).
         workers: bounded worker-pool size for control handlers and stream
             backfills.
-        flush_interval: minimum seconds between two batched flushes of the
-            same stream — raising it trades latency for larger frames per
-            send under load.
         write_buffer_limit: per-connection cap (bytes) on buffered unsent
             output; above it, backfills block (flow control) and live
             flushing pauses so the bounded frame queue takes over.
@@ -410,13 +406,11 @@ class AsyncHTTPEdge:
     """
 
     def __init__(self, address: Tuple[str, int], app: object, *,
-                 workers: int = 8, flush_interval: float = 0.005,
-                 write_buffer_limit: int = 256 * 1024,
+                 workers: int = 8, write_buffer_limit: int = 256 * 1024,
                  backlog: int = 1024, name: str = "anttune-edge") -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._app = app
-        self.flush_interval = max(0.0, float(flush_interval))
         self.write_buffer_limit = max(4096, int(write_buffer_limit))
         self._name = name
         self._listener = socket.create_server(address, backlog=backlog)
@@ -501,7 +495,7 @@ class AsyncHTTPEdge:
             self._done.wait(timeout=10.0)
         else:
             # Never started: nothing is draining the stop flag, clean up
-            # inline (mirrors the threaded server's never-started stop()).
+            # inline.
             self._shutdown_loop()
         self._pool.shutdown(wait=False)
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import hashlib
-import os
 import threading
 import uuid
 from time import monotonic
@@ -176,7 +175,7 @@ class _RouterJob:
     replay is a slice and gaplessness is structural; ``journal_bytes`` is
     the same journal pre-serialised to NDJSON lines, shared by every
     streaming connection (serialize once, fan out N times).  ``listeners``
-    are the async edge's per-connection push callbacks, invoked under
+    are the edge's per-connection push callbacks, invoked under
     ``cond`` at append time.  ``incarnation`` counts (re)attachments to a
     backend; a relay thread carries the incarnation it was started under
     and discards everything once the numbers diverge.
@@ -266,7 +265,7 @@ class TuneRouter:
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
             self._health_thread = None
-        # Wake any handler blocked in wait()/events so shutdown is prompt.
+        # Wake any caller blocked in wait() so shutdown is prompt.
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         for job in jobs:
@@ -556,8 +555,8 @@ class TuneRouter:
         """Append one wire event to the journal (caller holds ``job.cond``).
 
         Serialises the line once into ``journal_bytes`` — the buffer every
-        streaming connection shares — pushes it to the async edge's
-        listeners, and wakes journal tailers.
+        streaming connection shares — pushes it to the edge's listeners,
+        and wakes callers blocked in :meth:`TuneRouter.wait`.
         """
         seq = len(job.journal)
         data = _json_bytes(wire)
@@ -818,8 +817,7 @@ class _RouterApp:
     """The router's endpoint core: the backend protocol, served off journals.
 
     The same transport-agnostic shape as
-    :class:`~repro.automl.remote.http_server._TuneApp` — driven by the
-    async edge or the threaded handler — but hitting the
+    :class:`~repro.automl.remote.http_server._TuneApp`, but hitting the
     :class:`TuneRouter` instead of an in-process ``AntTuneServer``.  Submit
     and resume deliberately do *not* parse refs — the router forwards
     bodies; only backends import code.  No ticket surface: workers talk to
@@ -917,21 +915,11 @@ class _RouterApp:
         return json_reply(200, answer)
 
     # -- wait ------------------------------------------------------------ #
-    def _wait_args(self, args: object,
-                   params: Dict[str, str]) -> Tuple[int, float]:
+    def wait_begin(self, args: object, params: Dict[str, str],
+                   request_id: Optional[str]):
         job_id = _job_id_segment(args)
         timeout = min(_float_param(params, "timeout", 10.0),
                       _http.MAX_WAIT_SECONDS)
-        return job_id, max(0.0, timeout)
-
-    def wait_blocking(self, args: object, params: Dict[str, str],
-                      request_id: Optional[str]) -> Dict[str, object]:
-        job_id, timeout = self._wait_args(args, params)
-        return self.remote.router.wait(job_id, timeout=timeout)
-
-    def wait_begin(self, args: object, params: Dict[str, str],
-                   request_id: Optional[str]):
-        job_id, timeout = self._wait_args(args, params)
         router = self.remote.router
         job = router._job(job_id)  # 404 for unknown ids
         with job.cond:
@@ -988,53 +976,6 @@ class _RouterApp:
             return
         sink.backfill_done(sent)
 
-    def stream_threaded(self, handler, args: object,
-                        params: Dict[str, str]) -> None:
-        """Threaded-edge journal stream: replay, live tail, heartbeats.
-
-        Identical wire shape to a backend's stream, but served from the
-        router's journal — where index == seq — so a client reconnecting
-        with ``last_seq`` across backend restarts *and* migrations still
-        observes one gapless feed.
-        """
-        job_id = _job_id_segment(args)
-        last_seq = _int_param(params, "last_seq", -1)
-        job = self.remote.router._job(job_id)
-        try:
-            handler.connection.settimeout(self.stream_send_timeout)
-            handler._last_status = 200
-            handler.send_response(200)
-            handler.send_header("Content-Type", "application/x-ndjson")
-            handler.send_header("Cache-Control", "no-store")
-            if handler._request_id:
-                handler.send_header("X-Request-Id", handler._request_id)
-            handler.send_header("Connection", "close")
-            handler.end_headers()
-            next_index = max(0, last_seq + 1)
-            while True:
-                with job.cond:
-                    if next_index >= len(job.journal) and not job.terminal:
-                        job.cond.wait(self.heartbeat_seconds)
-                    batch = list(job.journal_bytes[next_index:])
-                    done = job.terminal and \
-                        next_index + len(batch) >= len(job.journal)
-                for data in batch:
-                    handler.wfile.write(data)
-                if batch:
-                    handler.wfile.flush()
-                    next_index += len(batch)
-                elif not done:
-                    handler.wfile.write(b"\n")  # idle heartbeat
-                    handler.wfile.flush()
-                if done:
-                    return
-                if self.remote.router._stop.is_set():
-                    return
-        except OSError:
-            return  # client went away; it can resume with last_seq
-        finally:
-            handler.close_connection = True
-
 
 class RemoteRouterServer:
     """Serve a :class:`TuneRouter` over HTTP — a drop-in fleet front door.
@@ -1051,9 +992,6 @@ class RemoteRouterServer:
         log: optional callable receiving one line per handled request.
         router: an externally owned :class:`TuneRouter` to serve instead of
             constructing one.
-        edge: ``"async"`` (event-loop edge, the default) or ``"threaded"``
-            (thread-per-connection fallback); defaults from ``ANTTUNE_EDGE``
-            when unset — the same knob as the backend server's.
         **router_kwargs: forwarded to :class:`TuneRouter` when constructed
             here (``health_interval=``, ``replicas=``, ...).
     """
@@ -1063,14 +1001,7 @@ class RemoteRouterServer:
                  token: Optional[str] = None,
                  log: Optional[object] = None,
                  router: Optional[TuneRouter] = None,
-                 edge: Optional[str] = None,
                  **router_kwargs: object) -> None:
-        if edge is None:
-            edge = os.environ.get("ANTTUNE_EDGE") or "async"
-        if edge not in ("async", "threaded"):
-            raise ValueError(f"edge must be 'async' or 'threaded', "
-                             f"got {edge!r}")
-        self.edge = edge
         self._owns_router = router is None
         self.router = (router if router is not None
                        else TuneRouter(backends, token=token,
@@ -1078,33 +1009,18 @@ class RemoteRouterServer:
         self.token = token
         self._log = log
         self.app = _RouterApp(self)
-        self._httpd = None
-        self._edge: Optional[AsyncHTTPEdge] = None
         try:
-            if edge == "threaded":
-                handler = type("BoundRouterHandler", (_http._Handler,),
-                               {"remote": self})
-                server_cls = type("BoundRouterHTTPServer",
-                                  (_http.ThreadingHTTPServer,),
-                                  {"request_queue_size": 1024})
-                self._httpd = server_cls((host, port), handler)
-                self._httpd.daemon_threads = True
-            else:
-                self._edge = AsyncHTTPEdge((host, port), self.app,
-                                           name="anttune-router-edge")
+            self._edge = AsyncHTTPEdge((host, port), self.app,
+                                       name="anttune-router-edge")
         except OSError:
             if self._owns_router:
                 self.router.close()
             raise
-        self._thread: Optional[threading.Thread] = None
-        self._started = False
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — useful with ``port=0``."""
-        if self._edge is not None:
-            return self._edge.address
-        return self._httpd.server_address[:2]
+        return self._edge.address
 
     @property
     def url(self) -> str:
@@ -1126,39 +1042,17 @@ class RemoteRouterServer:
     def start(self) -> "RemoteRouterServer":
         """Start the router's health monitor and serve in a thread."""
         self.router.start()
-        if self._edge is not None:
-            self._edge.start()
-            self._started = True
-            return self
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="anttune-router-http", daemon=True)
-            self._thread.start()
-            self._started = True
+        self._edge.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI ``route`` command's mode)."""
         self.router.start()
-        self._started = True
-        if self._edge is not None:
-            self._edge.serve_forever()
-        else:
-            self._httpd.serve_forever()
+        self._edge.serve_forever()
 
     def stop(self) -> None:
         """Stop accepting requests; close the router when owned here."""
-        if self._edge is not None:
-            self._edge.stop()
-        else:
-            if self._started:
-                self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
-                self._thread = None
-        self._started = False
+        self._edge.stop()
         if self._owns_router:
             self.router.close()
 

@@ -5,8 +5,8 @@ threads, so these tests drive it the way the threat model does: hundreds of
 loopback NDJSON subscribers multiplexed from **one** client thread (a
 ``selectors`` mux mirroring the server's own loop), parked ``/wait``
 continuations counted against the process's live thread population, a
-stalled reader exhausting its send grace, and a taxonomy parity run pinning
-the threaded fallback to the same wire behaviour.
+stalled reader exhausting its send grace, and the SDK round trip plus the
+error taxonomy pinned over the wire.
 """
 
 from __future__ import annotations
@@ -410,21 +410,13 @@ class TestSlowReaders:
 
 
 # --------------------------------------------------------------------------- #
-# Edge parity: both transports, one wire behaviour
+# Wire contract: the SDK round trip and the error taxonomy
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("edge", ["async", "threaded"])
-class TestEdgeParity:
-    """The taxonomy tests that matter most, pinned identical across edges.
+class TestWireContract:
+    """The wire behaviour that matters most, pinned on the serving edge."""
 
-    CI additionally runs the whole ``test_remote.py`` surface against the
-    threaded edge (``ANTTUNE_EDGE=threaded``) — this class is the fast
-    in-tree witness that the fallback stays wired up.
-    """
-
-    def test_submit_stream_wait_roundtrip(self, helper_module, edge):
-        with RemoteTuneServer(num_workers=2, backend="thread",
-                              edge=edge) as remote:
-            assert remote.edge == edge
+    def test_submit_stream_wait_roundtrip(self, helper_module):
+        with RemoteTuneServer(num_workers=2, backend="thread") as remote:
             client = AntTuneClient(remote.url, timeout=10.0)
             job_id = client.submit(f"{helper_module}:SPACE",
                                    f"{helper_module}:objective",
@@ -435,12 +427,12 @@ class TestEdgeParity:
             best = client.wait(job_id, timeout=30.0)
             assert best.value is not None
 
-    def test_error_taxonomy(self, edge):
+    def test_error_taxonomy(self):
         import urllib.error
         import urllib.request
 
         with RemoteTuneServer(num_workers=1, backend="thread",
-                              edge=edge, token="sesame") as remote:
+                              token="sesame") as remote:
             def fetch(path, token="sesame"):
                 request = urllib.request.Request(remote.url + path)
                 if token:
@@ -464,3 +456,13 @@ class TestEdgeParity:
             assert status == 400 and "last_seq" in body["error"]
             status, body = fetch("/v1/nope")
             assert status == 404 and "no such endpoint" in body["error"]
+
+    def test_only_the_async_edge_is_accepted(self):
+        # "async" stays a valid keyword for callers that name the edge;
+        # anything else is refused before a tune server is built.
+        with pytest.raises(ValueError, match="edge must be 'async'"):
+            RemoteTuneServer(num_workers=1, backend="thread",
+                             edge="threaded")
+        with RemoteTuneServer(num_workers=1, backend="thread",
+                              edge="async") as remote:
+            assert AntTuneClient(remote.url).health()["ok"] is True

@@ -118,41 +118,6 @@ class TestEventBus:
         assert [type(e).__name__ for e in retained] == ["TrialStarted",
                                                         "JobStateChanged"]
 
-    def test_legacy_pump_telemetry_override_still_drains(self):
-        # PR 3 subclasses overrode pump_telemetry; the renamed hook must keep
-        # calling them (both alias directions work).
-        from repro.automl import TrialExecutor
-
-        class LegacyExecutor(TrialExecutor):
-            pumped = 0
-
-            def pump_telemetry(self):
-                self.pumped += 1
-                return 7
-
-        legacy = LegacyExecutor()
-        assert legacy.drain_telemetry() == 7  # new callers reach the old hook
-        assert legacy.pump_telemetry() == 7
-        assert legacy.pumped == 2
-
-        class Modern(TrialExecutor):
-            def drain_telemetry(self):
-                return 3
-
-        assert Modern().pump_telemetry() == 3  # old callers reach new hook
-        assert TrialExecutor().drain_telemetry() == 0  # no recursion
-
-        class LegacySuperCaller(TrialExecutor):
-            # The PR 3 extension pattern: augment the (then 0-returning)
-            # base.  super().pump_telemetry() must not recurse through the
-            # alias shim.
-            def pump_telemetry(self):
-                return super().pump_telemetry() + 5
-
-        caller = LegacySuperCaller()
-        assert caller.pump_telemetry() == 5
-        assert caller.drain_telemetry() == 5
-
     def test_bounded_queue_sheds_oldest_but_keeps_terminal(self):
         bus = EventBus()
         sub = bus.subscribe(1, max_queue=4)

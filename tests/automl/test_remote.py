@@ -464,6 +464,63 @@ class TestEventStream:
             self._stream(client, 98765)
         assert len(attempts) == 1
 
+    @staticmethod
+    def _scripted_client(monkeypatch, streams):
+        """A client whose n-th stream connection replays ``streams[n]`` seqs.
+
+        Returns the client and the list of ``last_seq`` values it opened
+        connections with.  The last seq of a script is the terminal event.
+        """
+        client = AntTuneClient("http://127.0.0.1:9", timeout=1.0)
+        opens = []
+        terminal_seq = max(seq for script in streams for seq in script)
+
+        class Scripted:
+            def __init__(self, seqs):
+                self._lines = iter([
+                    json.dumps(event_to_wire(
+                        JobStateChanged(state="completed", terminal=True,
+                                        job_id=4, seq=seq)
+                        if seq == terminal_seq else
+                        TrialReport(trial_id=0, step=seq, value=0.5,
+                                    job_id=4, seq=seq))).encode() + b"\n"
+                    for seq in seqs])
+
+            def __iter__(self):
+                return self._lines
+
+            def close(self):
+                pass
+
+        def scripted_open(job_id, last_seq, max_queue):
+            opens.append(last_seq)
+            return Scripted(streams[len(opens) - 1])
+
+        monkeypatch.setattr(client, "_open_stream", scripted_open)
+        return client, opens
+
+    def test_gap_in_stream_is_re_requested_from_last_contiguous_seq(
+            self, monkeypatch):
+        # Live frames 3 and 4 were shed server-side; the reconnect's log
+        # backfill holds them.
+        n = 8
+        client, opens = self._scripted_client(
+            monkeypatch, [[0, 1, 2, 5, 6, 7], list(range(3, n))])
+        events = self._stream(client, 4)
+        assert opens == [-1, 2]
+        assert [e.seq for e in events] == list(range(n))
+        assert events[-1].terminal
+
+    def test_unfillable_gap_is_passed_through_after_one_refetch(
+            self, monkeypatch):
+        # The log was compacted past the hole: the refetch shows the same
+        # gap, and the stream goes on rather than looping.
+        client, opens = self._scripted_client(
+            monkeypatch, [[0, 1, 4, 5], [4, 5]])
+        events = self._stream(client, 4)
+        assert opens == [-1, 1]
+        assert [e.seq for e in events] == [0, 1, 4, 5]
+
     def test_concurrent_clients_one_server(self, remote, helper_module):
         results = {}
         errors = []
