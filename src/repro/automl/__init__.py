@@ -46,7 +46,7 @@ from repro.automl.study import Study, StudyConfig
 from repro.automl.trial import PrunedTrial, Trial, TrialCancelled, TrialState
 
 # Imported last: the remote layer sits on top of every module above.
-from repro.automl.remote import RemoteTuneClient, RemoteTuneServer  # noqa: E402
+from repro.automl.remote import RemoteTuneServer  # noqa: E402
 
 __all__ = [
     "SearchSpace",
@@ -97,7 +97,6 @@ __all__ = [
     "AntTuneServer",
     "AntTuneClient",
     "RemoteTuneServer",
-    "RemoteTuneClient",
     "JobState",
     "TuneJob",
     "pre_designed_model_space",

@@ -10,6 +10,8 @@ ordered stream; this package puts that substrate on the network:
   stdlib-only HTTP server wrapping an in-process
   :class:`~repro.automl.server.AntTuneServer`: submit/resume/status/wait/
   cancel/list endpoints plus a resumable NDJSON event stream per job.
+* :mod:`repro.automl.remote.front` — the ``/v1`` front door both servers
+  share: the route table, the endpoint core and the wrapper lifecycle.
 * :mod:`repro.automl.remote.edge` — :class:`AsyncHTTPEdge`, the one
   transport both servers speak HTTP through: a single ``selectors`` event
   loop multiplexing every connection, with parked ``/wait`` requests and
@@ -41,7 +43,7 @@ from repro.automl.remote.api import (
     parse_submit,
     trial_from_record,
 )
-from repro.automl.remote.client import AntTuneClient, RemoteTuneClient
+from repro.automl.remote.client import AntTuneClient
 from repro.automl.remote.http_server import RemoteTuneServer
 from repro.automl.remote.router import (
     HashRing,
@@ -59,7 +61,6 @@ __all__ = [
     "parse_submit",
     "trial_from_record",
     "AntTuneClient",
-    "RemoteTuneClient",
     "RemoteTuneServer",
     "HashRing",
     "RemoteRouterServer",

@@ -62,7 +62,7 @@ from repro.automl.study import StudyConfig
 from repro.automl.trial import Trial
 from repro.exceptions import TrialError
 
-__all__ = ["AntTuneClient", "RemoteTuneClient"]
+__all__ = ["AntTuneClient"]
 
 # Socket-level read timeout on event streams; the server heartbeats every
 # few seconds, so a silent stream this long means the connection is dead.
@@ -444,8 +444,3 @@ class AntTuneClient:
     def tune(self, space: str, objective: str, **kwargs: object) -> Trial:
         """Submit a job, wait for it and return the best trial (convenience)."""
         return self.wait(self.submit(space, objective, **kwargs))  # type: ignore[arg-type]
-
-
-# The in-process SDK class is also named AntTuneClient; this alias lets code
-# hold both without renaming imports.
-RemoteTuneClient = AntTuneClient

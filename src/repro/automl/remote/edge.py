@@ -31,10 +31,9 @@ sockets:
   connection that makes no send progress for the stream send-timeout grace
   is disconnected.
 
-The edge is application-agnostic: it drives an *app* object (the tune
-server's and the router's endpoint cores in
-:mod:`~repro.automl.remote.http_server` / :mod:`~repro.automl.remote.router`)
-through a small duck-typed protocol::
+The edge is application-agnostic: it drives an *app* object (the ``/v1``
+endpoint core :class:`~repro.automl.remote.front.FrontApp`, which the tune
+server and the router both extend) through a small duck-typed protocol::
 
     app.log(line)                       # request-log hook
     app.check_auth(token) -> bool       # bearer-token gate
@@ -46,8 +45,11 @@ through a small duck-typed protocol::
                                         # -> ("reply", payload)
                                         #  | ("park", parker)
     app.stream_begin(args, params, request_id, sink) -> None
-    app.heartbeat_seconds               # idle stream heartbeat period
-    app.stream_send_timeout             # no-progress disconnect grace
+
+Streams send an idle heartbeat every :data:`HEARTBEAT_SECONDS` and drop a
+reader that makes no progress for :data:`STREAM_SEND_TIMEOUT`; an app may
+carry ``heartbeat_seconds`` / ``stream_send_timeout`` attributes to use
+other values.
 
 ``handle_control`` / ``wait_begin`` / ``stream_begin`` run on worker-pool
 threads and may raise :class:`~repro.automl.remote.api.ProtocolError` /
@@ -82,6 +84,12 @@ __all__ = ["AsyncHTTPEdge", "Reply", "json_reply"]
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 1 << 20
 _RECV_CHUNK = 64 * 1024
+# Idle heartbeat period on event streams (a blank NDJSON line): detects dead
+# connections and keeps client read timeouts from firing on quiet jobs.
+HEARTBEAT_SECONDS = 5.0
+# Grace for a connected client that stopped *reading*: the stall sweep
+# disconnects it after this long without send progress.
+STREAM_SEND_TIMEOUT = 30.0
 
 # Request metrics: one latency histogram and one status counter per route
 # template, shared by every app the edge serves.
@@ -112,6 +120,17 @@ _CONN_CHILDREN = {kind: _OPEN_CONNECTIONS.labels(kind=kind)
 
 def _json_bytes(payload: object) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+_TERMINATOR = b"\r\n\r\n"
+
+
+def _partial_terminator(buf: bytearray) -> int:
+    """How many trailing bytes of ``buf`` could begin a head terminator."""
+    for size in (3, 2, 1):
+        if buf.endswith(_TERMINATOR[:size]):
+            return size
+    return 0
 
 
 def _clean_request_id(raw: Optional[str]) -> Optional[str]:
@@ -680,10 +699,16 @@ class AsyncHTTPEdge:
     def _try_parse(self, conn: _Connection) -> None:
         """Pull complete requests off the read buffer and dispatch them."""
         while conn.alive and not conn.busy and not conn.closing:
-            head_end = conn.rbuf.find(b"\r\n\r\n")
+            head_end = conn.rbuf.find(_TERMINATOR)
+            # Bound the head however its bytes were split across reads: with
+            # no terminator yet, the head is at least everything before a
+            # terminator that may have begun in the last bytes received.
+            head_len = (head_end if head_end >= 0
+                        else len(conn.rbuf) - _partial_terminator(conn.rbuf))
+            if head_len > MAX_HEADER_BYTES:
+                self._parse_error(conn, 431, "request header too large")
+                return
             if head_end < 0:
-                if len(conn.rbuf) > MAX_HEADER_BYTES:
-                    self._parse_error(conn, 431, "request header too large")
                 return
             head = bytes(conn.rbuf[:head_end])
             try:
@@ -691,16 +716,16 @@ class AsyncHTTPEdge:
             except ValueError as exc:
                 self._parse_error(conn, 400, str(exc))
                 return
-            length_raw = headers.get("content-length")
-            try:
-                length = int(length_raw) if length_raw is not None else 0
-            except ValueError:
+            length_raw = headers.get("content-length", "0")
+            # Plain ASCII digits only: int() also accepts "+5", "-1", "0_0".
+            if not (length_raw.isascii() and length_raw.isdigit()):
                 self._parse_error(conn, 400, "invalid Content-Length header")
                 return
+            length = int(length_raw)
             if length > MAX_BODY_BYTES:
                 self._parse_error(conn, 413, "request body too large")
                 return
-            total = head_end + 4 + max(0, length)
+            total = head_end + 4 + length
             if len(conn.rbuf) < total:
                 return  # body still in flight
             body = bytes(conn.rbuf[head_end + 4:total])
@@ -846,7 +871,7 @@ class AsyncHTTPEdge:
                                 sink: _StreamSink) -> None:
         """Heartbeat + stall sweep for one stream, rescheduled until done."""
         heartbeat = max(0.1, float(getattr(self._app, "heartbeat_seconds",
-                                           5.0)))
+                                           HEARTBEAT_SECONDS)))
 
         def upkeep() -> None:
             if not conn.alive or conn.stream is not sink:
@@ -854,7 +879,7 @@ class AsyncHTTPEdge:
             state = sink._state
             now = monotonic()
             grace = max(0.1, float(getattr(self._app, "stream_send_timeout",
-                                           30.0)))
+                                           STREAM_SEND_TIMEOUT)))
             if conn.out and now - conn.last_progress > grace:
                 # The client stopped reading and its grace is spent.
                 self._teardown(conn)
@@ -1011,7 +1036,7 @@ class AsyncHTTPEdge:
             else:  # events
                 sink = _StreamSink(self, conn, request_id,
                                    float(getattr(app, "stream_send_timeout",
-                                                 30.0)))
+                                                 STREAM_SEND_TIMEOUT)))
                 try:
                     app.stream_begin(args, params, request_id, sink)
                 except Exception:

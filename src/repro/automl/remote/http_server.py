@@ -2,31 +2,16 @@
 
 :class:`RemoteTuneServer` exposes an in-process
 :class:`~repro.automl.server.AntTuneServer` over the versioned wire schema
-of :mod:`repro.automl.remote.api`:
-
-====================================  =========================================
-``GET  /v1/health``                   liveness + protocol version
-``GET  /v1/status``                   server-wide snapshot (jobs, backpressure)
-``GET  /v1/metrics``                  Prometheus text exposition of every
-                                      instrumented hot path
-``POST /v1/jobs``                     submit (space/objective refs, priority,
-                                      preempt, seed) -> ``{"job_id": n}``
-``GET  /v1/jobs``                     status snapshots of every job
-``GET  /v1/jobs/{id}``                one job's status (incl. telemetry drops)
-``GET  /v1/jobs/{id}/wait``           block (bounded) for the result
-``POST /v1/jobs/{id}/cancel``         cancel a queued or running job
-``GET  /v1/jobs/{id}/events``         NDJSON event stream, resumable via
-                                      ``?last_seq=N``
-``POST /v1/resume``                   resume a stored study as a new job
-====================================  =========================================
-
-The endpoint logic lives in one transport-agnostic core (:class:`_TuneApp`)
-served by :class:`~repro.automl.remote.edge.AsyncHTTPEdge`: one ``selectors``
-event loop multiplexing every socket.  Event streams are per-connection
-write buffers fed by event-bus callbacks (frames batched per loop pass, each
-frame the event's shared pre-serialised wire bytes), and ``/wait`` parks as
-a terminal-event continuation instead of pinning a thread per waiter — so
-one backend holds thousands of concurrent streaming clients.
+of :mod:`repro.automl.remote.api`, on every route of the ``/v1`` table
+(:data:`repro.automl.remote.front.ROUTES`, documented in ``docs/api.md``).
+Its endpoint core, :class:`_TuneApp`, is the shared
+:class:`~repro.automl.remote.front.FrontApp` plus what only a backend does:
+parse and submit/resume jobs, park ``/wait`` on the event bus, feed event
+streams, and serve the ``/v1/tickets/*`` surface pull workers lease trials
+through.  :class:`~repro.automl.remote.edge.AsyncHTTPEdge` serves it: one
+``selectors`` loop for every socket, streams fed by event-bus callbacks with
+each frame the event's shared pre-serialised wire bytes, and ``/wait``
+parked as a terminal-event continuation instead of a blocked thread.
 
 The event stream is the server-side half of ``subscribe()``: each line is one
 :func:`~repro.automl.events.event_to_wire` payload carrying the job's
@@ -34,12 +19,7 @@ monotonic ``seq``.  A client that lost its connection reconnects with
 ``last_seq=<highest seq it saw>``; the gap backfills from the **durable
 event log** first (so replay works even when the in-memory bus ring rotated
 or the whole process restarted — see :mod:`repro.automl.eventlog`), then the
-live subscription takes over, de-duplicated by seq.  Live delivery keeps the
-bus's drop-oldest semantics, with the per-connection queue bound settable
-via ``?max_queue=`` (drops are counted in
-``anttune_event_queue_dropped_total``).  Blank heartbeat lines are emitted
-while the stream idles so dead connections are noticed and their resources
-released.
+live subscription takes over, de-duplicated by seq.
 
 Constructed with ``recover=True`` (the CLI's ``serve --recover``), the
 wrapper runs :meth:`AntTuneServer.recover
@@ -48,31 +28,19 @@ interrupted jobs are auto-resumed or finalised before the first client
 request can observe the restarted server — reconnecting SDKs never race the
 reconciliation.
 
-Observability: every request is timed into the
-``anttune_http_request_seconds{method,endpoint}`` histogram and counted in
-``anttune_http_requests_total{method,endpoint,status}`` (endpoint labels are
-the route *templates* — ``/v1/jobs/{id}`` — never raw paths, keeping label
-cardinality bounded).  Each request's ``X-Request-Id`` header (generated when
-absent) is echoed back on the response and, on submit/resume, becomes the
-job's trace id — the correlation id stamped on every event the job publishes,
-so one id follows a request from HTTP ingress through the whole trial
-lifecycle and across crash-recovered resumes.  The edge additionally
-exposes ``anttune_http_open_connections{kind}``,
-``anttune_edge_flush_batch_size`` and ``anttune_edge_loop_lag_seconds``.
-
-Failure handling: schema violations answer 4xx JSON error bodies
-(:class:`~repro.automl.remote.api.ProtocolError` carries the status), unknown
-jobs/studies answer 404, conflicts (duplicate study names) 409, and anything
-unexpected 500 — a bad request never takes the server down.  A ``token``
-enables bearer auth (401 without it); override :meth:`RemoteTuneServer.check_auth`
-for anything fancier.
+Each request's ``X-Request-Id`` header (generated when absent) is echoed on
+the response and, on submit/resume, becomes the job's trace id, stamped on
+every event the job publishes.  Schema violations answer 4xx JSON error
+bodies, unknown jobs/studies 404, conflicts 409 and anything unexpected 500
+— a bad request never takes the server down.  A ``token`` enables bearer
+auth (401 without it); override :meth:`RemoteTuneServer.check_auth` for
+anything fancier.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.automl import metrics as _metrics
 from repro.automl.events import JobStateChanged, event_wire_bytes
 from repro.automl.remote.api import (
     PROTOCOL_VERSION,
@@ -80,30 +48,13 @@ from repro.automl.remote.api import (
     parse_resume,
     parse_submit,
 )
-from repro.automl.remote.edge import (
-    AsyncHTTPEdge,
-    Reply,
-    _float_param,
-    _int_param,
-    _job_id_segment,
-    json_reply,
-)
+from repro.automl.remote.edge import Reply, json_reply
+from repro.automl.remote.front import FrontApp, FrontServer
 from repro.automl.server import AntTuneServer
 from repro.exceptions import TrialError
 from repro.utils.rng import new_rng
 
 __all__ = ["RemoteTuneServer"]
-
-# How long a single /wait request may stay parked; clients poll.
-MAX_WAIT_SECONDS = 60.0
-# Idle heartbeat period on event streams (blank NDJSON line): detects dead
-# connections and keeps read timeouts from firing on quiet jobs.
-HEARTBEAT_SECONDS = 5.0
-# Grace for a connected client that stopped *reading*: the edge's
-# no-progress stall sweep disconnects it after this long.
-STREAM_SEND_TIMEOUT = 30.0
-# The Prometheus text exposition content type served by GET /v1/metrics.
-METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _wait_payload(tune: AntTuneServer, job_id: int,
@@ -135,6 +86,10 @@ def _wait_payload(tune: AntTuneServer, job_id: int,
                 "error": status["error"] or str(exc), "best": None}
     return {"done": True, "state": "completed", "error": None,
             "best": best.as_record()}
+
+
+def _terminal(event: object) -> bool:
+    return isinstance(event, JobStateChanged) and event.terminal
 
 
 class _WaitParker:
@@ -170,120 +125,38 @@ class _WaitParker:
         return _wait_payload(self._tune, self.job_id, 0.0)
 
 
-class _TuneApp:
-    """The tune service's endpoint core.
-
-    Transport-agnostic: route classification, request handling, wait
-    semantics and stream setup live here; the edge drives it through the
-    protocol described in :mod:`repro.automl.remote.edge`.
-    """
-
-    def __init__(self, remote: "RemoteTuneServer") -> None:
-        self.remote = remote
-
-    # -- edge hooks ------------------------------------------------------ #
-    def log(self, line: str) -> None:
-        self.remote.log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        return self.remote.check_auth(token)
-
-    @property
-    def heartbeat_seconds(self) -> float:
-        return HEARTBEAT_SECONDS  # read dynamically: tests retune it
-
-    @property
-    def stream_send_timeout(self) -> float:
-        return STREAM_SEND_TIMEOUT
-
-    # -- routing --------------------------------------------------------- #
-    def classify(self, method: str, path: str):
-        """``(kind, route_template, args)`` for a request path, or None.
-
-        ``kind`` picks the edge treatment: ``control`` requests answer from
-        a worker and return; ``wait`` may park; ``events`` becomes a stream.
-        The template doubles as the ``endpoint`` metric label, so per-route
-        series never explode in cardinality with job ids.
-        """
-        parts = [p for p in path.split("/") if p]
-        if not parts or parts[0] != "v1":
-            return None
-        parts = parts[1:]
-        if method == "GET":
-            if parts == ["health"]:
-                return ("control", "/v1/health", None)
-            if parts == ["status"]:
-                return ("control", "/v1/status", None)
-            if parts == ["metrics"]:
-                return ("control", "/v1/metrics", None)
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if len(parts) == 2 and parts[0] == "jobs":
-                return ("control", "/v1/jobs/{id}", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "wait":
-                return ("wait", "/v1/jobs/{id}/wait", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                return ("events", "/v1/jobs/{id}/events", parts[1])
-        elif method == "POST":
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if parts == ["resume"]:
-                return ("control", "/v1/resume", None)
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                return ("control", "/v1/jobs/{id}/cancel", parts[1])
-            if parts == ["tickets", "claim"]:
-                return ("control", "/v1/tickets/claim", None)
-            if (len(parts) == 3 and parts[0] == "tickets"
-                    and parts[2] in ("report", "heartbeat", "complete")):
-                return ("control", f"/v1/tickets/{{id}}/{parts[2]}",
-                        (parts[1], parts[2]))
-        return None
+class _TuneApp(FrontApp):
+    """The tune service's endpoint core: the shared ``/v1`` front door on an
+    in-process :class:`AntTuneServer`, plus the ticket surface."""
 
     # -- control --------------------------------------------------------- #
     def handle_control(self, method: str, template: str, args: object,
                        params: Dict[str, str],
                        read_body: Callable[[], object],
                        request_id: Optional[str]) -> Reply:
-        tune = self.remote.tune_server
-        if template == "/v1/health":
-            return json_reply(200, {"ok": True, "protocol": PROTOCOL_VERSION})
-        if template == "/v1/status":
-            payload = tune.server_status()
-            payload["protocol"] = PROTOCOL_VERSION
-            return json_reply(200, payload)
-        if template == "/v1/metrics":
-            return Reply(200, _metrics.REGISTRY.render().encode("utf-8"),
-                         METRICS_CONTENT_TYPE)
-        if template == "/v1/jobs" and method == "GET":
-            return json_reply(200, {"jobs": tune.jobs()})
-        if template == "/v1/jobs":  # POST: submit
-            kwargs = parse_submit(read_body())
+        if template == "/v1/tickets/claim":
+            return self._ticket_claim(read_body())
+        if template.startswith("/v1/tickets/"):
+            action = template.rsplit("/", 1)[1]
+            return self._ticket(args, action, read_body())
+        return super().handle_control(method, template, args, params,
+                                      read_body, request_id)
+
+    def place(self, kind: str, body: object,
+              request_id: Optional[str]) -> Dict[str, object]:
+        tune = self.service
+        if kind == "submit":
+            kwargs = parse_submit(body)
             seed = kwargs.pop("seed", None)
             if seed is not None:
                 kwargs["rng"] = new_rng(seed)
             # The request's correlation id becomes the job's trace id: every
             # event the job publishes carries it, end to end.
             job_id = tune.submit(trace_id=request_id, **kwargs)
-            return json_reply(200, {"job_id": job_id, "trace_id": request_id,
-                                    "protocol": PROTOCOL_VERSION})
-        if template == "/v1/resume":
-            kwargs = parse_resume(read_body())
-            job_id = tune.resume(trace_id=request_id, **kwargs)
-            return json_reply(200, {"job_id": job_id, "trace_id": request_id,
-                                    "protocol": PROTOCOL_VERSION})
-        if template == "/v1/jobs/{id}":
-            return json_reply(200, tune.status(_job_id_segment(args)))
-        if template == "/v1/jobs/{id}/cancel":
-            job_id = _job_id_segment(args)
-            return json_reply(200, {"job_id": job_id,
-                                    "cancelled": tune.cancel(job_id)})
-        if template == "/v1/tickets/claim":
-            return self._ticket_claim(read_body())
-        if template.startswith("/v1/tickets/"):
-            segment, action = args
-            return self._ticket(segment, action, read_body())
-        raise ProtocolError(f"no such endpoint: {method} {template}",
-                            status=404)  # pragma: no cover - classify gates
+        else:
+            job_id = tune.resume(trace_id=request_id, **parse_resume(body))
+        return {"job_id": job_id, "trace_id": request_id,
+                "protocol": PROTOCOL_VERSION}
 
     # -- ticket surface (pull workers; backend="ticket" only) ------------ #
     def _ticket_claim(self, body: object) -> Reply:
@@ -298,7 +171,7 @@ class _TuneApp:
         worker = body.get("worker")
         if worker is not None and not isinstance(worker, str):
             raise ProtocolError("'worker' must be a string")
-        board = self.remote.tune_server.ticket_board()
+        board = self.service.ticket_board()
         return json_reply(200, {"ticket": board.claim(worker=worker),
                                 "protocol": PROTOCOL_VERSION})
 
@@ -321,7 +194,7 @@ class _TuneApp:
         token = body.get("token")
         if not isinstance(token, str) or not token:
             raise ProtocolError("'token' (the lease token) is required")
-        board = self.remote.tune_server.ticket_board()
+        board = self.service.ticket_board()
         if action == "report":
             step, value = body.get("step"), body.get("value")
             if not isinstance(step, int) or isinstance(step, bool) or step < 0:
@@ -346,75 +219,37 @@ class _TuneApp:
         return json_reply(200, {"ok": True, "kill": kill})
 
     # -- wait ------------------------------------------------------------ #
-    def wait_begin(self, args: object, params: Dict[str, str],
-                   request_id: Optional[str]):
-        """``/wait``: answer now, or park a continuation.
-
-        A job that is already done (or a zero timeout) answers immediately;
-        otherwise no thread blocks — the edge holds the connection and the
-        job's terminal bus event (or a loop timer) completes it.
-        """
-        job_id = _job_id_segment(args)
-        timeout = min(_float_param(params, "timeout", 10.0), MAX_WAIT_SECONDS)
-        payload = _wait_payload(self.remote.tune_server, job_id, 0.0)
+    def park_wait(self, job_id: int, timeout: float):
+        payload = _wait_payload(self.service, job_id, 0.0)
         if payload["done"] or timeout <= 0.0:
             return ("reply", payload)
-        return ("park", _WaitParker(self.remote.tune_server, job_id, timeout))
+        return ("park", _WaitParker(self.service, job_id, timeout))
 
     # -- event streams --------------------------------------------------- #
-    def stream_begin(self, args: object, params: Dict[str, str],
-                     request_id: Optional[str], sink) -> None:
-        """``/events``: wire one job's feed into a stream sink.
+    def open_stream(self, job_id: int, last_seq: int, max_queue: int,
+                    sink) -> Tuple[Iterable[Tuple[int, bytes, bool]], bool]:
+        """The bus subscription is live; the durable log is the backfill.
 
-        ``last_seq`` skips everything the client already saw.  The gap
-        backfills from the durable event log first, then live bus frames
-        take over — the subscription attaches *before* the disk read, both
-        sides overlap rather than gap, and the sink de-duplicates by seq.
-        Live frames are the event's shared wire bytes
+        Frames are the event's shared wire bytes
         (:func:`~repro.automl.events.event_wire_bytes`): serialized once,
-        reused by every subscriber and the event log.  ``max_queue`` bounds
-        this connection's live frame queue (drop-oldest; drops counted in
-        ``anttune_event_queue_dropped_total``).
+        reused by every subscriber and the event log.
         """
-        job_id = _job_id_segment(args)
-        last_seq = _int_param(params, "last_seq", -1)
-        max_queue = _int_param(params, "max_queue", 1024)
-        if max_queue < 1:
-            raise ProtocolError("max_queue must be >= 1")
-        tune = self.remote.tune_server
-        sink.live_bound = max_queue
-        sink.drop_hook = lambda count: tune.note_stream_drops(job_id, count)
-
         def push(event) -> None:
-            sink.live(event_wire_bytes(event), event.seq,
-                      isinstance(event, JobStateChanged) and event.terminal)
+            sink.live(event_wire_bytes(event), event.seq, _terminal(event))
 
-        backfill, subscription = tune.open_event_stream(
+        backfill, subscription = self.service.open_event_stream(
             job_id, last_seq=last_seq, max_queue=max_queue, callback=push)
         if subscription is not None:
             sink.on_close(subscription.close)
-        if not sink.start():
-            return
-        sent = last_seq  # highest seq emitted; the de-dup watermark
-        for event in backfill:
-            if event.seq <= sent:
-                continue
-            if not sink.emit(event_wire_bytes(event)):
-                return  # client gone or stalled out its grace
-            sent = event.seq
-            if isinstance(event, JobStateChanged) and event.terminal:
-                sink.end()  # the log already holds the stream's end
-                return
-        if subscription is None:
-            # Log-only job (finished before a restart): the backfill was the
-            # whole story — and it ended terminal above, or the log was
-            # compacted down to a tail the client already has.
-            sink.end()
-            return
-        sink.backfill_done(sent)
+        # A log-only job (finished before a restart) has no live side: its
+        # backfill ended terminal, or was compacted down to a tail the
+        # client already has.
+        frames = ((event.seq, event_wire_bytes(event), _terminal(event))
+                  for event in backfill)
+        return frames, subscription is not None
 
 
-class RemoteTuneServer:
+class RemoteTuneServer(FrontServer):
     """Serve an :class:`AntTuneServer` over HTTP/JSON on a loopback (or any) port.
 
     Args:
@@ -460,11 +295,9 @@ class RemoteTuneServer:
                  **server_kwargs: object) -> None:
         if edge != "async":
             raise ValueError(f"edge must be 'async', got {edge!r}")
-        self._owns_tune_server = tune_server is None
+        owns = tune_server is None
         self.tune_server = (tune_server if tune_server is not None
                             else AntTuneServer(**server_kwargs))  # type: ignore[arg-type]
-        self.token = token
-        self._log = log
         #: recover()'s summary when constructed with ``recover=True``.
         self.recovery: Optional[Dict[str, object]] = None
         if recover:
@@ -474,78 +307,12 @@ class RemoteTuneServer:
             try:
                 self.recovery = self.tune_server.recover()
             except Exception:
-                if self._owns_tune_server:
-                    self.tune_server.shutdown()
+                if owns:
+                    self._close_service()
                 raise
-        self.app = _TuneApp(self)
-        try:
-            self._edge = AsyncHTTPEdge(
-                (host, port), self.app, workers=edge_workers,
-                write_buffer_limit=write_buffer_limit, name="anttune-edge")
-        except OSError:
-            # Bind failure (port in use, bad host): a tune server this
-            # wrapper constructed — and so owns — must not leak its pool.
-            if self._owns_tune_server:
-                self.tune_server.shutdown()
-            raise
+        self._bind(_TuneApp(self, self.tune_server), host, port, token, log,
+                   owns, workers=edge_workers,
+                   write_buffer_limit=write_buffer_limit, name="anttune-edge")
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — useful with ``port=0``."""
-        return self._edge.address
-
-    @property
-    def url(self) -> str:
-        """Base URL clients connect to (e.g. ``http://127.0.0.1:8123``)."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def log(self, line: str) -> None:
-        """Request-log hook; default drops the line (override or pass log=)."""
-        if self._log is not None:
-            self._log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        """Whether a request presenting ``token`` may proceed.
-
-        The default accepts everything when the server has no token, and
-        requires an exact bearer match otherwise.  Override for custom
-        schemes (keys per client, allow-lists, ...).
-        """
-        if self.token is None:
-            return True
-        return token == self.token
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "RemoteTuneServer":
-        """Serve in a background thread and return self (idempotent)."""
-        self._edge.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI ``serve`` command's mode)."""
-        self._edge.serve_forever()
-
-    def stop(self, shutdown_tune_server: Optional[bool] = None) -> None:
-        """Stop accepting requests; optionally shut the tune server down.
-
-        Args:
-            shutdown_tune_server: defaults to whether this wrapper
-                constructed (and so owns) the in-process server.
-        """
-        self._edge.stop()
-        owns = (self._owns_tune_server if shutdown_tune_server is None
-                else shutdown_tune_server)
-        if owns:
-            self.tune_server.shutdown()
-
-    def __enter__(self) -> "RemoteTuneServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def _close_service(self) -> None:
+        self.tune_server.shutdown()

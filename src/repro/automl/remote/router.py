@@ -56,19 +56,16 @@ from typing import (
 )
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import JobStateChanged, event_from_wire, event_to_wire
+from repro.automl.events import (
+    _QUEUE_DROPPED,
+    JobStateChanged,
+    event_from_wire,
+    event_to_wire,
+)
 from repro.automl.remote.api import PROTOCOL_VERSION, ProtocolError
 from repro.automl.remote.client import AntTuneClient, _ServerUnreachable
-from repro.automl.remote import http_server as _http
-from repro.automl.remote.edge import (
-    AsyncHTTPEdge,
-    Reply,
-    _float_param,
-    _int_param,
-    _job_id_segment,
-    _json_bytes,
-    json_reply,
-)
+from repro.automl.remote.edge import _json_bytes
+from repro.automl.remote.front import ROUTES, FrontApp, FrontServer
 from repro.exceptions import TrialError
 
 __all__ = ["HashRing", "TuneRouter", "RemoteRouterServer"]
@@ -763,6 +760,16 @@ class TuneRouter:
             journal = list(job.journal)
         return [event_from_wire(wire) for wire in journal]
 
+    def note_stream_drops(self, job_id: int, count: int) -> None:
+        """Count live frames a client stream of ``job_id`` shed.
+
+        The edge bounds each streaming connection's frame queue
+        (drop-oldest); the sheds land in the same
+        ``anttune_event_queue_dropped_total`` series a backend uses.
+        """
+        if count >= 1:
+            _QUEUE_DROPPED.labels(job=job_id).inc(count)
+
 
 class _RouterWaitParker:
     """A parked router ``/wait``: completed by the journal's terminal append.
@@ -813,114 +820,35 @@ class _RouterWaitParker:
         return self._router.wait(self._job.job_id, timeout=0.0)
 
 
-class _RouterApp:
-    """The router's endpoint core: the backend protocol, served off journals.
+class _RouterApp(FrontApp):
+    """The router's endpoint core: the shared ``/v1`` front door, served off
+    journals.
 
-    The same transport-agnostic shape as
-    :class:`~repro.automl.remote.http_server._TuneApp`, but hitting the
-    :class:`TuneRouter` instead of an in-process ``AntTuneServer``.  Submit
-    and resume deliberately do *not* parse refs — the router forwards
+    Hits the :class:`TuneRouter` instead of an in-process ``AntTuneServer``.
+    Submit and resume deliberately do *not* parse refs — the router forwards
     bodies; only backends import code.  No ticket surface: workers talk to
     backends directly.
     """
 
-    def __init__(self, remote: "RemoteRouterServer") -> None:
-        self.remote = remote
+    routes = tuple(row for row in ROUTES
+                   if not row[1].startswith("/v1/tickets/"))
+    role = "router"
 
-    # -- edge hooks ------------------------------------------------------ #
-    def log(self, line: str) -> None:
-        self.remote.log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        return self.remote.check_auth(token)
-
-    @property
-    def heartbeat_seconds(self) -> float:
-        return _http.HEARTBEAT_SECONDS
-
-    @property
-    def stream_send_timeout(self) -> float:
-        return _http.STREAM_SEND_TIMEOUT
-
-    # -- routing --------------------------------------------------------- #
-    def classify(self, method: str, path: str):
-        parts = [p for p in path.split("/") if p]
-        if not parts or parts[0] != "v1":
-            return None
-        parts = parts[1:]
-        if method == "GET":
-            if parts == ["health"]:
-                return ("control", "/v1/health", None)
-            if parts == ["status"]:
-                return ("control", "/v1/status", None)
-            if parts == ["metrics"]:
-                return ("control", "/v1/metrics", None)
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if len(parts) == 2 and parts[0] == "jobs":
-                return ("control", "/v1/jobs/{id}", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "wait":
-                return ("wait", "/v1/jobs/{id}/wait", parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                return ("events", "/v1/jobs/{id}/events", parts[1])
-        elif method == "POST":
-            if parts == ["jobs"]:
-                return ("control", "/v1/jobs", None)
-            if parts == ["resume"]:
-                return ("control", "/v1/resume", None)
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                return ("control", "/v1/jobs/{id}/cancel", parts[1])
-        return None
-
-    # -- control --------------------------------------------------------- #
-    def handle_control(self, method: str, template: str, args: object,
-                       params: Dict[str, str],
-                       read_body: Callable[[], object],
-                       request_id: Optional[str]) -> Reply:
-        router = self.remote.router
-        if template == "/v1/health":
-            return json_reply(200, {"ok": True, "role": "router",
-                                    "protocol": PROTOCOL_VERSION})
-        if template == "/v1/status":
-            payload = router.server_status()
-            payload["protocol"] = PROTOCOL_VERSION
-            return json_reply(200, payload)
-        if template == "/v1/metrics":
-            return Reply(200, router.metrics_text().encode("utf-8"),
-                         _http.METRICS_CONTENT_TYPE)
-        if template == "/v1/jobs" and method == "GET":
-            return json_reply(200, {"jobs": router.jobs()})
-        if template == "/v1/jobs":  # POST: submit
-            return self._place("submit", read_body(), request_id)
-        if template == "/v1/resume":
-            return self._place("resume", read_body(), request_id)
-        if template == "/v1/jobs/{id}":
-            return json_reply(200, router.status(_job_id_segment(args)))
-        if template == "/v1/jobs/{id}/cancel":
-            job_id = _job_id_segment(args)
-            return json_reply(200, {"job_id": job_id,
-                                    "cancelled": router.cancel(job_id)})
-        raise ProtocolError(f"no such endpoint: {method} {template}",
-                            status=404)  # pragma: no cover - classify gates
-
-    def _place(self, kind: str, body: object,
-               request_id: Optional[str]) -> Reply:
+    def place(self, kind: str, body: object,
+              request_id: Optional[str]) -> Dict[str, object]:
         try:
-            answer = self.remote.router.submit(
-                body, trace_id=request_id, kind=kind)  # type: ignore[arg-type]
+            return self.service.submit(body, trace_id=request_id,
+                                       kind=kind)  # type: ignore[arg-type]
         except ValueError as exc:
             # A backend's 400 surfaces as ValueError in the forwarding
             # client; keep it a 400 for our caller too.
             raise ProtocolError(str(exc)) from None
-        return json_reply(200, answer)
 
-    # -- wait ------------------------------------------------------------ #
-    def wait_begin(self, args: object, params: Dict[str, str],
-                   request_id: Optional[str]):
-        job_id = _job_id_segment(args)
-        timeout = min(_float_param(params, "timeout", 10.0),
-                      _http.MAX_WAIT_SECONDS)
-        router = self.remote.router
+    def metrics_text(self) -> str:
+        return self.service.metrics_text()
+
+    def park_wait(self, job_id: int, timeout: float):
+        router = self.service
         job = router._job(job_id)  # 404 for unknown ids
         with job.cond:
             terminal = job.terminal
@@ -928,34 +856,24 @@ class _RouterApp:
             return ("reply", router.wait(job_id, timeout=0.0))
         return ("park", _RouterWaitParker(router, job, timeout))
 
-    # -- event streams --------------------------------------------------- #
-    def stream_begin(self, args: object, params: Dict[str, str],
-                     request_id: Optional[str], sink) -> None:
-        """Wire one journal into a stream sink: snapshot replay + listener.
+    def open_stream(self, job_id: int, last_seq: int, max_queue: int,
+                    sink) -> Tuple[Iterable[Tuple[int, bytes, bool]], bool]:
+        """Snapshot replay off the journal, then a journal listener.
 
         Registering the listener and slicing the journal happen atomically
         under ``job.cond``, so the live push takes over exactly where the
         snapshot ends — gapless by construction, and every frame is the
-        journal's shared pre-serialised line.
+        journal's shared pre-serialised line (journal index == seq).
         """
-        job_id = _job_id_segment(args)
-        last_seq = _int_param(params, "last_seq", -1)
-        max_queue = _int_param(params, "max_queue", 1024)
-        if max_queue < 1:
-            raise ProtocolError("max_queue must be >= 1")
-        job = self.remote.router._job(job_id)
-        sink.live_bound = max_queue
-
-        def listen(data: bytes, seq: int, terminal: bool) -> None:
-            sink.live(data, seq, terminal)
-
+        job = self.service._job(job_id)
+        listen = sink.live
         start_index = max(0, last_seq + 1)
         with job.cond:
-            snapshot = list(job.journal_bytes[start_index:])
-            terminal_now = job.terminal
-            if not terminal_now:
+            snapshot = job.journal_bytes[start_index:]
+            live = not job.terminal
+            if live:
                 job.listeners.append(listen)
-        if not terminal_now:
+        if live:
             def remove() -> None:
                 with job.cond:
                     try:
@@ -964,20 +882,12 @@ class _RouterApp:
                         pass
 
             sink.on_close(remove)
-        if not sink.start():
-            return
-        sent = start_index - 1
-        for data in snapshot:
-            sent += 1  # journal index == seq: the slice is contiguous
-            if not sink.emit(data):
-                return
-        if terminal_now:
-            sink.end()
-            return
-        sink.backfill_done(sent)
+        frames = ((seq, data, False)
+                  for seq, data in enumerate(snapshot, start_index))
+        return frames, live
 
 
-class RemoteRouterServer:
+class RemoteRouterServer(FrontServer):
     """Serve a :class:`TuneRouter` over HTTP — a drop-in fleet front door.
 
     Clients (the SDK, the CLI, plain HTTP) talk to it exactly as they would
@@ -1002,62 +912,15 @@ class RemoteRouterServer:
                  log: Optional[object] = None,
                  router: Optional[TuneRouter] = None,
                  **router_kwargs: object) -> None:
-        self._owns_router = router is None
+        owns = router is None
         self.router = (router if router is not None
                        else TuneRouter(backends, token=token,
                                        **router_kwargs))  # type: ignore[arg-type]
-        self.token = token
-        self._log = log
-        self.app = _RouterApp(self)
-        try:
-            self._edge = AsyncHTTPEdge((host, port), self.app,
-                                       name="anttune-router-edge")
-        except OSError:
-            if self._owns_router:
-                self.router.close()
-            raise
+        self._bind(_RouterApp(self, self.router), host, port, token, log,
+                   owns, name="anttune-router-edge")
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — useful with ``port=0``."""
-        return self._edge.address
+    def _start_service(self) -> None:
+        self.router.start()  # the health monitor
 
-    @property
-    def url(self) -> str:
-        """Base URL clients connect to."""
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def log(self, line: str) -> None:
-        """Request-log hook; default drops the line."""
-        if self._log is not None:
-            self._log(line)
-
-    def check_auth(self, token: Optional[str]) -> bool:
-        """Bearer-token gate, same contract as the backend server's."""
-        if self.token is None:
-            return True
-        return token == self.token
-
-    def start(self) -> "RemoteRouterServer":
-        """Start the router's health monitor and serve in a thread."""
-        self.router.start()
-        self._edge.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI ``route`` command's mode)."""
-        self.router.start()
-        self._edge.serve_forever()
-
-    def stop(self) -> None:
-        """Stop accepting requests; close the router when owned here."""
-        self._edge.stop()
-        if self._owns_router:
-            self.router.close()
-
-    def __enter__(self) -> "RemoteRouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def _close_service(self) -> None:
+        self.router.close()

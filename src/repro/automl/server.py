@@ -48,7 +48,6 @@ import enum
 import itertools
 import threading
 import uuid
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -1123,32 +1122,6 @@ class AntTuneServer:
             records, key=lambda record: record["value"])
         from repro.automl.remote.api import trial_from_record
         return trial_from_record(best)
-
-    def run(self, job_id: int, checkpoint_path: Optional[str] = None) -> Trial:
-        """Blocking convenience kept from the synchronous server: wait for a job.
-
-        The job was already started by :meth:`submit`, so ``checkpoint_path``
-        can only take effect if the dispatcher has not picked the job up yet —
-        pass it to :meth:`submit` instead; a warning is raised when it arrives
-        too late to apply.
-
-        Args:
-            job_id: the job to wait on.
-            checkpoint_path: late checkpoint target (queued jobs only).
-
-        Returns:
-            The best completed trial (see :meth:`wait` for raises).
-        """
-        job = self._get(job_id)
-        if checkpoint_path is not None:
-            if job.state is JobState.QUEUED:
-                job.checkpoint_path = checkpoint_path
-            else:
-                warnings.warn(
-                    f"job {job_id} is already {job.state.value}; checkpoint_path "
-                    "was ignored — pass it to submit() instead", RuntimeWarning,
-                    stacklevel=2)
-        return self.wait(job_id)
 
     def status(self, job_id: int) -> Dict[str, object]:
         """Job state plus per-trial-state counts (consistent mid-run).

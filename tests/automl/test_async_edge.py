@@ -22,9 +22,14 @@ import time
 import pytest
 
 from repro.automl import metrics as _metrics
-from repro.automl.events import TrialReport
-from repro.automl.remote import AntTuneClient, RemoteTuneServer
+from repro.automl.events import JobStateChanged, TrialReport, event_to_wire
+from repro.automl.remote import (
+    AntTuneClient,
+    RemoteRouterServer,
+    RemoteTuneServer,
+)
 from repro.automl.remote.edge import AsyncHTTPEdge
+from repro.automl.remote.router import _RouterJob
 
 HELPER = "async_edge_helper"
 
@@ -345,6 +350,48 @@ class TestSlowReaders:
                 "telemetry"]["event_queue_dropped"]
             assert after > before, "shed live frames were not counted"
 
+    def test_router_stream_drops_counted(self):
+        """The router's streams shed through the same drop hook: every live
+        frame a ``?max_queue=1`` connection sheds is counted in
+        ``anttune_event_queue_dropped_total``, exactly once."""
+        # No backend is ever contacted: the job is journalled by hand and
+        # the health monitor never runs within the test.
+        with RemoteRouterServer(["http://127.0.0.1:9"],
+                                health_interval=3600.0) as front:
+            router = front.router
+            job_id = 4242  # a label no other test's job uses
+            job = _RouterJob(job_id, "drops", "trace-drops", "submit", {},
+                             "http://127.0.0.1:9", 0)
+            with router._jobs_lock:
+                router._jobs[job_id] = job
+            before = _gauge_value("anttune_event_queue_dropped_total",
+                                  job=str(job_id))
+            mux = _Mux(front.address,
+                       [_stream_request(job_id, max_queue=1)])
+            try:
+                # The head goes out after the journal listener attached.
+                assert mux.pump_headers(10.0)
+                frames = 2000
+                # One burst outruns the loop's flushes: a one-frame queue
+                # must shed most of it.
+                with job.cond:
+                    for seq in range(frames):
+                        wire = event_to_wire(JobStateChanged(
+                            state="running", job_id=job_id, seq=seq))
+                        router._append_wire(job, wire, False)
+                router._finish_locally(job, "completed", None)
+                assert mux.pump_all_done(30.0), "stream never finished"
+                status, events = _parse_stream(mux.buffers[0])
+            finally:
+                mux.close()
+            assert status == 200
+            assert events[-1]["terminal"] and events[-1]["seq"] == frames
+            missing = frames + 1 - len(events)
+            assert missing > 0, "the burst never overflowed max_queue=1"
+            after = _gauge_value("anttune_event_queue_dropped_total",
+                                 job=str(job_id))
+            assert after - before == missing
+
     def test_stalled_reader_disconnected_after_send_grace(self):
         """A client that stops *reading* is torn down once its write makes
         no progress for the send-timeout grace — bounded memory, freed
@@ -427,12 +474,23 @@ class TestWireContract:
             best = client.wait(job_id, timeout=30.0)
             assert best.value is not None
 
-    def test_error_taxonomy(self):
+    @pytest.mark.parametrize("front_door", ["backend", "router"])
+    def test_error_taxonomy(self, front_door):
+        """Both front doors answer the same taxonomy; the router is one
+        hop in front of a backend, with the fleet's shared token."""
+        import contextlib
         import urllib.error
         import urllib.request
 
-        with RemoteTuneServer(num_workers=1, backend="thread",
-                              token="sesame") as remote:
+        with contextlib.ExitStack() as stack:
+            remote = stack.enter_context(RemoteTuneServer(
+                num_workers=1, backend="thread", token="sesame"))
+            health = {"ok": True, "protocol": 1}
+            if front_door == "router":
+                remote = stack.enter_context(RemoteRouterServer(
+                    [remote.url], token="sesame"))
+                health["role"] = "router"
+
             def fetch(path, token="sesame"):
                 request = urllib.request.Request(remote.url + path)
                 if token:
@@ -443,8 +501,7 @@ class TestWireContract:
                 except urllib.error.HTTPError as exc:
                     return exc.code, json.loads(exc.read())
 
-            assert fetch("/v1/health") == (
-                200, {"ok": True, "protocol": 1})
+            assert fetch("/v1/health") == (200, health)
             status, body = fetch("/v1/health", token=None)
             assert status == 401 and "bearer" in body["error"]
             status, body = fetch("/v1/jobs/999")

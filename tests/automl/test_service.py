@@ -89,14 +89,6 @@ class TestSubmitPollWait:
             for sa, ea in intervals["a"] for sb, eb in intervals["b"])
         assert overlap, "jobs a and b never executed trials concurrently"
 
-    def test_run_keeps_blocking_compatibility(self, space, server):
-        job_id = server.submit(space, lambda t: t.params["x"],
-                               config=StudyConfig(n_trials=4),
-                               rng=np.random.default_rng(0))
-        best = server.run(job_id)
-        assert best.value is not None
-        assert server.status(job_id)["finished"] is True
-
     def test_jobs_listing(self, space, server):
         ids = [server.submit(space, lambda t: t.params["x"],
                              config=StudyConfig(n_trials=2)) for _ in range(3)]

@@ -127,7 +127,7 @@ class TestAntTuneServer:
         server = AntTuneServer(num_workers=3)
         job_id = server.submit(space, lambda t: t.params["x"],
                                config=StudyConfig(n_trials=6), rng=np.random.default_rng(0))
-        best = server.run(job_id)
+        best = server.wait(job_id)
         assert best.value is not None
         status = server.status(job_id)
         assert status["finished"] and status["num_trials"] == 6
@@ -137,7 +137,7 @@ class TestAntTuneServer:
         server = AntTuneServer(num_workers=2)
         job_id = server.submit(space, lambda t: t.params["x"],
                                config=StudyConfig(n_trials=4), rng=np.random.default_rng(0))
-        server.run(job_id)
+        server.wait(job_id)
         workers = [t.worker for t in server._jobs[job_id].study.trials]
         assert set(workers) == {"worker-0", "worker-1"}
 
@@ -151,7 +151,7 @@ class TestAntTuneServer:
                                config=StudyConfig(n_trials=2, max_retries=0),
                                rng=np.random.default_rng(0))
         with pytest.raises(TrialError, match="every trial failed"):
-            server.run(job_id)
+            server.wait(job_id)
         assert server.status(job_id)["finished"] is True
 
     def test_unknown_job_raises(self):

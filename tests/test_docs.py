@@ -93,6 +93,22 @@ def test_checker_validates_ndjson_against_wire_schema(tmp_path):
     assert "drifted" in finding
 
 
+def test_checker_matches_endpoint_table_to_routes(tmp_path):
+    checker = _load_checker()
+    assert checker.check_endpoint_table() == []
+    table = checker.ENDPOINT_DOC.read_text()
+    # A dropped row, a duplicated row and a row no route serves.
+    doc = tmp_path / "api.md"
+    doc.write_text(table.replace("| `GET /v1/status` |", "| `GET /v1/stats` |")
+                   .replace("| `POST /v1/resume` |",
+                            "| `POST /v1/jobs` | again |\n| `POST /v1/resume` |"))
+    findings = checker.check_endpoint_table(doc)
+    assert len(findings) == 3
+    assert any("missing GET /v1/status" in f for f in findings)
+    assert any("GET /v1/stats, which no route serves" in f for f in findings)
+    assert any("POST /v1/jobs is listed twice" in f for f in findings)
+
+
 def test_console_commands_parse_with_continuations(tmp_path):
     checker = _load_checker()
     doc = tmp_path / "doc.md"

@@ -18,6 +18,9 @@ Checks over ``README.md`` and every ``docs/*.md``:
   line, and each object must round-trip losslessly through the event wire
   schema (``event_from_wire`` → ``event_to_wire``) — so documented log/
   stream payloads cannot drift from the code;
+* the ``| Endpoint |`` table of ``docs/api.md`` must list each route of the
+  ``/v1`` route table (``repro.automl.remote.front.ROUTES``) exactly once,
+  and nothing else;
 * every ``$``-prefixed command in a ```` ```console ```` block must be one
   the checker knows how to run (``python ...`` or ``kill ...``), and with
   ``--execute`` each block **actually runs**, top to bottom, in a throwaway
@@ -57,6 +60,10 @@ FENCE_RE = re.compile(r"^```(\w*)\s*$")
 # [text](target) — excluding images handled the same way; ignore URLs later.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: The doc whose endpoint table must match the route table.
+ENDPOINT_DOC = REPO_ROOT / "docs" / "api.md"
+# | `GET /v1/jobs/{id}/wait?timeout=T` | ... — method and template, no query.
+ENDPOINT_ROW_RE = re.compile(r"^\|\s*`(GET|POST)\s+(/[^`?\s]*)[^`]*`\s*\|")
 
 #: The documented ports runbook examples bind; --execute remaps each to its
 #: own free port.  8123 is "the server" (or the fleet router), 8124 a second
@@ -233,6 +240,46 @@ def check_ndjson_snippets(path: Path) -> List[str]:
                     f"{where}: ndjson payload drifted from the wire schema "
                     f"(event_to_wire(event_from_wire(line)) differs — stale "
                     f"keys or values?)")
+    return findings
+
+
+# --------------------------------------------------------------------- #
+# The endpoint table: the API reference lists exactly the /v1 route table.
+# --------------------------------------------------------------------- #
+
+def check_endpoint_table(path: Path = ENDPOINT_DOC) -> List[str]:
+    """Match ``path``'s ``| Endpoint |`` table against the route table."""
+    if str(SRC_ROOT) not in sys.path:
+        sys.path.insert(0, str(SRC_ROOT))
+    from repro.automl.remote.front import ROUTES
+
+    findings = []
+    documented: List[Tuple[str, str]] = []
+    in_table = False
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.startswith("| Endpoint |"):
+            in_table = True
+            continue
+        if not line.startswith("|"):
+            in_table = False
+        if not in_table:
+            continue
+        match = ENDPOINT_ROW_RE.match(line)
+        if match:
+            route = (match.group(1), match.group(2))
+            if route in documented:
+                findings.append(f"{_rel(path)}:{lineno}: endpoint "
+                                f"{' '.join(route)} is listed twice")
+            documented.append(route)
+    served = [(method, template) for method, template, _ in ROUTES]
+    for route in served:
+        if route not in documented:
+            findings.append(f"{_rel(path)}: endpoint table is missing "
+                            f"{' '.join(route)} (in the route table)")
+    for route in documented:
+        if route not in served:
+            findings.append(f"{_rel(path)}: endpoint table lists "
+                            f"{' '.join(route)}, which no route serves")
     return findings
 
 
@@ -435,6 +482,7 @@ def run_checks(out: Callable[[str], None] = print,
         findings.extend(check_links(path))
         findings.extend(check_ndjson_snippets(path))
         findings.extend(check_console_conventions(path))
+    findings.extend(check_endpoint_table())
     if execute and not findings:
         # Static problems first: no point running a runbook that already
         # fails its conventions.
