@@ -4,15 +4,12 @@ The paper's tune server (Fig. 8) dispatches generated trials to a pool of
 distributed executors and collects the reported metrics.  This module provides
 the in-process equivalent of that pool:
 
-* :class:`SynchronousExecutor` runs each trial inline on the calling thread —
-  the ``n_workers=1`` case, byte-for-byte identical to the historical
-  sequential study loop.
+* :class:`SynchronousExecutor` runs each trial inline on the calling thread
+  (the ``n_workers=1`` case): ``submit`` returns an already-resolved future.
 * :class:`ThreadPoolTrialExecutor` runs up to ``n_workers`` trials
   concurrently on a :class:`concurrent.futures.ThreadPoolExecutor`.  It
-  enforces the per-trial time limit by deadline (stragglers are cancelled
-  cooperatively and their late results discarded) and survives worker death:
-  if the underlying pool becomes unusable the executor transparently rebuilds
-  it and resubmits.
+  survives worker death: if the underlying pool becomes unusable the
+  executor transparently rebuilds it and resubmits.
 * :class:`ProcessPoolTrialExecutor` runs trials in separate worker processes,
   sidestepping the GIL for CPU-bound objectives.  Objectives (and their
   sampled parameters) must be picklable; each worker process derives its own
@@ -39,10 +36,12 @@ backends uniformly:
   ``trial.report(...)`` — so a killed remote trial stops at its next report
   instead of running to its deadline.
 
-Executors only *run* trials; proposing configurations (``ask``) and feeding
+Executors only *run* trials: ``submit`` returns a future and nothing more.
+Waiting, deadlines (stragglers are killed cooperatively and their late
+results discarded), cancellation and retries live in the one dispatch loop of
+:mod:`repro.automl.scheduler`; proposing configurations (``ask``) and feeding
 results back into the search algorithm (``tell``) stay inside the study, which
-serialises them under a lock so any algorithm written for the sequential path
-works unchanged.
+serialises them under a lock so any sequential algorithm works unchanged.
 """
 
 from __future__ import annotations
@@ -53,14 +52,8 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.sharedctypes import Synchronized
@@ -93,16 +86,6 @@ __all__ = [
 
 EXECUTOR_BACKENDS = ("auto", "sync", "thread", "process", "ticket")
 
-# A trial that has not started is waiting on the pool, which may be serving
-# another owner (a co-tenant job): its own clock hasn't begun, so it must not
-# be failed at trial_time_limit — but the wait cannot be unbounded either (a
-# wedged pool would hang the study).  This factor bounds the queue wait.
-STARVATION_GRACE_FACTOR = 5.0
-
-# How often a waiting batch wakes up to run its tick callback (telemetry
-# draining, mid-trial pruning, cancellation checks).
-TICK_INTERVAL = 0.05
-
 # Parent-side trial metrics, labelled per backend.  Recorded from future
 # done-callbacks so the process backend (whose objective runs in another
 # interpreter) is observed exactly like the local ones.
@@ -128,16 +111,14 @@ class TrialExecutorClosed(RuntimeError):
     """Submitting to an executor after ``close()``: no pool rebuild allowed."""
 
 Objective = Callable[[Trial], float]
-TickFn = Optional[Callable[[], bool]]
 
 
 def execute_trial(objective: Objective, trial: Trial,
                   trial_time_limit: Optional[float] = None) -> Trial:
     """Run ``objective`` on ``trial`` and record outcome, duration and errors.
 
-    This is the single place where a trial's lifecycle transitions happen, for
-    both the sequential and the pooled path (it also runs worker-side inside
-    process workers).  A kill signal observed while the objective ran maps to
+    This is the single place where a trial's lifecycle transitions happen, on
+    every backend (it also runs worker-side inside process workers).  A kill signal observed while the objective ran maps to
     the matching terminal state: deadline kills to ``TIMED_OUT``, prune kills
     to ``PRUNED``, job cancellation to ``CANCELLED``.  If the canceller's
     bookkeeping already recorded a terminal state, the late outcome is
@@ -225,11 +206,10 @@ def expire_trial(trial: Trial, future: "Future[Trial]", limit: float,
 
 
 class TrialExecutor:
-    """Minimal pool interface: submit trials, wait for a batch, shut down.
+    """Minimal pool interface: submit trials, relay telemetry, shut down.
 
-    Subclasses provide the pool; the base class supplies batch waiting with
-    deadline enforcement and the default (local, shared-object) telemetry
-    behaviour.
+    Subclasses provide the pool; the base class supplies the default (local,
+    shared-object) telemetry behaviour.
     """
 
     n_workers: int = 1
@@ -320,125 +300,6 @@ class TrialExecutor:
         """
         trial.kill(reason)
 
-    # ------------------------------------------------------------------ #
-    # Batch execution
-    # ------------------------------------------------------------------ #
-    def run_batch(self, objective: Objective, trials: Sequence[Trial],
-                  trial_time_limit: Optional[float] = None,
-                  hard_deadline: Optional[float] = None,
-                  tick_fn: TickFn = None) -> List[Trial]:
-        """Run ``trials`` (at most ``n_workers`` of them) and block until each
-        one has a terminal state.
-
-        ``trial_time_limit`` is measured from each trial's actual *start*, not
-        from batch submission, so queue wait behind other work (e.g. another
-        job sharing the pool) doesn't count against the limit.  Queue wait is
-        still bounded: a trial that hasn't started within one limit of the
-        batch's last observed start — or within ``STARVATION_GRACE_FACTOR``
-        limits of submission when nothing of ours ever started — is recorded
-        FAILED ("never started") for the study's retry logic to resubmit.
-        ``hard_deadline`` (absolute ``perf_counter`` time, from the study's
-        total time limit) expires everything still pending when reached, so a
-        wedged pool can never hang the study past its total budget.
-
-        Args:
-            objective: the user callable to evaluate.
-            trials: the batch to run.
-            trial_time_limit: per-trial wall-clock budget.
-            hard_deadline: absolute time after which everything expires.
-            tick_fn: invoked every :data:`TICK_INTERVAL` while waiting; used
-                by schedulers to drain telemetry and prune mid-trial.  A
-                ``True`` return cancels every still-pending trial (job
-                cancellation) and ends the batch immediately.
-
-        Returns:
-            The input trials, each in a terminal state.
-        """
-        futures = [self.submit(objective, t, trial_time_limit) for t in trials]
-        if trial_time_limit is None and hard_deadline is None and tick_fn is None:
-            wait(futures)
-        else:
-            self._wait_with_deadlines(list(zip(futures, trials)),
-                                      trial_time_limit, hard_deadline, tick_fn)
-        for future in futures:
-            if future.done() and not future.cancelled() and future.exception() is not None:
-                # Only non-Exception BaseExceptions (e.g. KeyboardInterrupt)
-                # escape execute_trial: surface them on the dispatching thread
-                # so the study aborts instead of looping over a dead worker.
-                raise future.exception()
-        return list(trials)
-
-    def _wait_with_deadlines(self, pairs: List, limit: Optional[float],
-                             hard_deadline: Optional[float],
-                             tick_fn: TickFn = None) -> None:
-        """Enforce start-based deadlines and tick callbacks over (future, trial) pairs."""
-        pending = dict(pairs)
-        submit_time = time.perf_counter()
-        grace = None if limit is None else limit * STARVATION_GRACE_FACTOR
-        latest_start: Optional[float] = None  # None until the pool serves us
-        while pending:
-            if tick_fn is not None and tick_fn():
-                # Job cancellation: nothing pending may keep running.
-                for future, trial in pending.items():
-                    self.kill_trial(trial, KILL_CANCELLED)
-                    expire_trial(trial, future, limit or 0.0,
-                                 reason=KILL_CANCELLED)
-                return
-            now = time.perf_counter()
-            if hard_deadline is not None and now >= hard_deadline:
-                # Total study budget spent: nothing may outlive it.
-                for future, trial in pending.items():
-                    self.kill_trial(trial, KILL_DEADLINE)
-                    expire_trial(trial, future, limit or 0.0)
-                return
-            for future, trial in list(pending.items()):
-                if future.done():
-                    pending.pop(future)
-                    continue
-                if trial.started_at is None and future.running():
-                    # Process workers never ship started_at back mid-run; the
-                    # first time the future reports running is the best proxy.
-                    trial.started_at = now
-                if trial.started_at is not None:
-                    latest_start = max(latest_start or trial.started_at,
-                                       trial.started_at)
-            next_deadline: Optional[float] = hard_deadline
-            for future, trial in list(pending.items()):
-                if limit is None:
-                    continue  # only the hard deadline applies
-                start = trial.started_at
-                if start is not None:
-                    deadline = start + limit
-                elif latest_start is not None:
-                    # The pool is serving this batch but not this trial: a
-                    # non-cooperative straggler of ours is starving it.
-                    deadline = min(latest_start + limit, submit_time + grace)
-                else:
-                    # Nothing of ours started: the pool is busy with *other*
-                    # work (another job) — wait, but not unboundedly.
-                    deadline = submit_time + grace
-                if now < deadline:
-                    next_deadline = (deadline if next_deadline is None
-                                     else min(next_deadline, deadline))
-                    continue
-                self.kill_trial(trial, KILL_DEADLINE)
-                expire_trial(trial, future, limit)
-                # Stop waiting for it; a zombie straggler's late result is
-                # discarded on arrival via the kill flag.
-                pending.pop(future)
-            if pending:
-                timeout = (None if next_deadline is None
-                           else max(0.0, next_deadline - now) + 0.01)
-                if limit is not None:
-                    # Cap the wait so a trial that starts mid-sleep still gets
-                    # its deadline enforced promptly.
-                    timeout = limit if timeout is None else min(timeout, limit)
-                if tick_fn is not None:
-                    # Wake regularly to drain telemetry and observe kills.
-                    timeout = (TICK_INTERVAL if timeout is None
-                               else min(timeout, TICK_INTERVAL))
-                wait(list(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-
     def shutdown(self) -> None:
         """Release pool resources (idempotent; a later submit may rebuild)."""
 
@@ -461,9 +322,9 @@ class TrialExecutor:
 class SynchronousExecutor(TrialExecutor):
     """Runs every trial inline on the calling thread (``n_workers=1``).
 
-    There is no concurrency to stream telemetry into: pruning happens
-    cooperatively inside the objective (``trial.should_prune()``), exactly as
-    in the historical sequential loop.
+    There is no concurrency to stream telemetry into: the trial has finished
+    before the scheduler's next tick, so pruning happens cooperatively inside
+    the objective (``trial.should_prune()``).
     """
 
     n_workers = 1
@@ -628,8 +489,8 @@ def _run_trial_in_process(objective: Objective, params: Dict[str, object],
 class _MergedFuture(Future):
     """A future resolving to the *local* trial once the remote record merged.
 
-    ``cancel`` delegates to the underlying pool future so the batch deadline
-    logic can still distinguish never-started work (retryable FAILED) from a
+    ``cancel`` delegates to the underlying pool future so the scheduler's
+    deadline logic can still distinguish never-started work (retryable FAILED) from a
     running straggler (TIMED_OUT).
     """
 
@@ -896,7 +757,7 @@ class ProcessPoolTrialExecutor(TrialExecutor):
                     if not trial.is_finished:
                         trial.state = TrialState.FAILED
                         trial.error = ("trial never started: worker pool "
-                                       "starved at the batch deadline")
+                                       "starved at the deadline")
                 merged.set_result(trial)
                 return
             exc = raw.exception()

@@ -1,4 +1,4 @@
-"""Stdlib-only metrics registry and trace spans for the tune service.
+"""Stdlib-only metrics registry and trace ids for the tune service.
 
 Every hot path of the service — scheduler ticks, algorithm ask/tell, executor
 queue-wait and trial runtime, event-bus publishes, event-log appends, HTTP
@@ -28,18 +28,14 @@ Design constraints, in order:
    exposition format is implemented here (``# HELP``/``# TYPE`` lines,
    ``_bucket``/``_sum``/``_count`` series with cumulative ``le`` labels).
 
-Trace spans
------------
+Trace ids
+---------
 
-:func:`span` is a context manager that times a named section with
-``time.perf_counter`` and records the duration into the
-``anttune_span_seconds{span=...}`` histogram.  Spans nest per thread: a child
-span inherits its parent's ``trace_id`` and records the parent's ``span_id``
-as ``parent_id``.  Trace ids are plain hex strings (:func:`new_trace_id`):
-the server stamps one per job (from the client's ``X-Request-Id`` header when
-given) and propagates it onto every event the job publishes, so one id
-follows a tuning job from HTTP request through scheduler, executor, event
-log, and back out the event stream.
+Trace ids are plain hex strings (:func:`new_trace_id`): the server stamps one
+per job (from the client's ``X-Request-Id`` header when given) and
+propagates it onto every event the job publishes, so one id follows a tuning
+job from HTTP request through scheduler, executor, event log, and back out
+the event stream.
 """
 
 from __future__ import annotations
@@ -59,11 +55,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "set_enabled",
     "metrics_enabled",
-    "Span",
-    "span",
-    "current_span",
     "new_trace_id",
-    "new_span_id",
 ]
 
 _INF = float("inf")
@@ -78,8 +70,7 @@ def set_enabled(flag: bool) -> None:
     """Enable or disable all metric recording process-wide.
 
     Rendering and snapshots keep working while disabled; only the write
-    paths (``inc``/``set``/``observe``/``time``/:func:`span` recording)
-    become no-ops.
+    paths (``inc``/``set``/``observe``/``time``) become no-ops.
     """
     global _ENABLED
     _ENABLED = bool(flag)
@@ -509,89 +500,9 @@ def get_registry() -> MetricsRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Trace spans
+# Trace ids
 # --------------------------------------------------------------------- #
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (job-scoped correlation id)."""
     return uuid.uuid4().hex[:16]
-
-
-def new_span_id() -> str:
-    """A fresh 8-hex-char span id."""
-    return uuid.uuid4().hex[:8]
-
-
-class Span:
-    """One timed section: name, trace/span ids, and (once closed) duration."""
-
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "duration")
-
-    def __init__(self, name: str, trace_id: str, span_id: str,
-                 parent_id: Optional[str]) -> None:
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.duration: Optional[float] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Span(name={self.name!r}, trace_id={self.trace_id!r}, "
-                f"span_id={self.span_id!r}, duration={self.duration!r})")
-
-
-_span_stack = threading.local()
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open :func:`span` on this thread, if any."""
-    stack = getattr(_span_stack, "stack", None)
-    return stack[-1] if stack else None
-
-
-_SPAN_SECONDS = REGISTRY.histogram(
-    "anttune_span_seconds", "Duration of named trace spans.",
-    labels=("span",))
-
-
-@contextmanager
-def span(name: str, trace_id: Optional[str] = None,
-         registry: Optional[MetricsRegistry] = None) -> Iterator[Span]:
-    """Time a named section and record it as a trace span.
-
-    The span inherits the enclosing span's ``trace_id`` (same thread) unless
-    one is passed explicitly; the outermost span of a fresh trace mints one.
-    On exit the duration is observed into the
-    ``anttune_span_seconds{span=name}`` histogram.
-
-    Args:
-        name: the span name (becomes the ``span`` label — keep the set of
-            names small and static; ids belong in the trace id, not here).
-        trace_id: explicit trace to join (e.g. a job's trace id).
-        registry: record into this registry instead of the global one.
-
-    Yields:
-        The open :class:`Span`; read ``duration`` after the block for the
-        elapsed seconds.
-    """
-    parent = current_span()
-    if trace_id is None:
-        trace_id = parent.trace_id if parent is not None else new_trace_id()
-    current = Span(name, trace_id, new_span_id(),
-                   parent.span_id if parent is not None else None)
-    stack = getattr(_span_stack, "stack", None)
-    if stack is None:
-        stack = _span_stack.stack = []
-    stack.append(current)
-    start = time.perf_counter()
-    try:
-        yield current
-    finally:
-        current.duration = time.perf_counter() - start
-        stack.pop()
-        if registry is None:
-            _SPAN_SECONDS.labels(span=name).observe(current.duration)
-        else:
-            registry.histogram(
-                "anttune_span_seconds", "Duration of named trace spans.",
-                labels=("span",)).labels(span=name).observe(current.duration)

@@ -1,12 +1,18 @@
 """Trial schedulers: how a study keeps its worker pool busy (Fig. 8 dispatch).
 
-Two scheduling disciplines drive the executor pool:
+One dispatch loop (:class:`_DispatchLoop`) hands every trial to the executor
+and collects it back.  It is the only place that submits, waits on trial
+futures (waking at least every :data:`TICK_INTERVAL`), enforces deadlines,
+cancellation and the total time limit, publishes kill events and settles
+retries, preemption requeues and budget charges.  The two built-in
+schedulers are its two refill policies:
 
-* :class:`RoundScheduler` — the deterministic default.  Up to ``n_workers``
-  configurations are asked from the algorithm, evaluated concurrently as one
-  batch, then told back in submission order.  Because the batch forms a
-  barrier, a fixed seed always yields the same trial set, but one straggler
-  idles every other worker until the round ends.
+* :class:`RoundScheduler` — the deterministic default, also used for the
+  inline ``n_workers=1`` case.  Up to ``n_workers`` configurations are
+  asked only when nothing is in flight, and the round is told back in
+  submission order once every trial in it is terminal.  Because the round
+  forms a barrier, a fixed seed always yields the same trial set, but one
+  straggler idles every other worker until the round ends.
 * :class:`AsyncScheduler` — slot refill.  All ``n_workers`` slots are kept
   busy at all times: the moment any trial finishes it is told back (under the
   study lock, so every sequential algorithm still works unchanged) and a new
@@ -15,23 +21,27 @@ Two scheduling disciplines drive the executor pool:
   *sequence* is not reproducible across runs — use the round scheduler when
   bit-identical replays matter.
 
-Both schedulers share the study's retry policy (a failed configuration is
+Both policies share the study's retry policy (a failed configuration is
 resubmitted up to ``max_retries`` times without consuming extra budget slots),
-per-trial deadlines and the total time limit.  On every refill tick they also:
+one per-trial deadline rule and the total time limit.  On every tick the loop
+also:
 
-* **drain live telemetry** (:class:`TelemetryMonitor`) — intermediate values
+* **drains live telemetry** (:class:`TelemetryMonitor`) — intermediate values
   streamed back by in-flight trials (including process-backend ones, over the
   shared-memory transport) are published to the study's event sink as
   :class:`~repro.automl.events.TrialReport` events and fed to the study's
   pruner; a futureless trial is killed mid-run instead of running to its
   deadline;
-* **observe cancellation** — a :meth:`Study.request_stop` (e.g. the tune
+* **observes cancellation** — a :meth:`Study.request_stop` (e.g. the tune
   server's ``cancel(job_id)``) expires everything in flight with the
   ``CANCELLED`` terminal state within one tick;
-* **requeue preempted trials** — a trial killed with
+* **requeues preempted trials** — a trial killed with
   :data:`~repro.automl.trial.KILL_PREEMPTED` (the tune server yielding slots
   to a ``preempt=True`` high-priority job) is resubmitted with the same
   configuration, without charging a budget slot or a retry.
+
+Every trial's event stream reads started → reports → (at most one) killed →
+finished on both policies.
 
 Fair sharing of one pool between jobs is provided by
 :class:`FairShareGovernor` and :class:`GovernedExecutor`: the governor
@@ -47,16 +57,11 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.automl import metrics as _metrics
 from repro.automl.events import TrialKilled, TrialReport
-from repro.automl.executors import (
-    STARVATION_GRACE_FACTOR,
-    TICK_INTERVAL,
-    TrialExecutor,
-    expire_trial,
-)
+from repro.automl.executors import TrialExecutor, expire_trial
 from repro.automl.pruners import NoPruner
 from repro.automl.trial import (
     KILL_CANCELLED,
@@ -85,6 +90,16 @@ Objective = Callable[[Trial], float]
 CheckpointFn = Optional[Callable[[], None]]
 SchedulerLike = Union[None, str, "TrialScheduler"]
 
+# How often the dispatch loop wakes while trials run (telemetry draining,
+# mid-trial pruning, cancellation and deadline checks).
+TICK_INTERVAL = 0.05
+
+# A trial that has not started is waiting on the pool, which may be serving
+# another owner (a co-tenant job): its own clock hasn't begun, so it must not
+# be failed at trial_time_limit — but the wait cannot be unbounded either (a
+# wedged pool would hang the study).  This factor bounds the queue wait.
+STARVATION_GRACE_FACTOR = 5.0
+
 # Tick work (telemetry drain, pruning, deadline checks, refill) — the wait
 # itself is excluded, so the histogram shows scheduling cost, not idleness.
 _TICK_SECONDS = _metrics.REGISTRY.histogram(
@@ -103,15 +118,14 @@ _SLOTS_BUSY = _metrics.REGISTRY.gauge(
 class TelemetryMonitor:
     """Turns live telemetry into events and prune decisions between ticks.
 
-    Schedulers call :meth:`observe` on every refill tick.  The executor's
+    The dispatch loop calls :meth:`observe` on every tick.  The executor's
     telemetry is drained (mirroring process-backend reports into the local
     trial objects through the shared-memory transport), every newly visible
     intermediate value is published to the study's event sink as a
     :class:`~repro.automl.events.TrialReport` — one ordered stream regardless
     of backend — and any trial with new reports is judged by the study's
     pruner.  A futureless trial is killed with
-    :data:`~repro.automl.trial.KILL_PRUNED` (published as
-    :class:`~repro.automl.events.TrialKilled`), which its objective observes
+    :data:`~repro.automl.trial.KILL_PRUNED`, which its objective observes
     at the next ``report()`` — so even a remote straggler stops mid-run.
 
     With a :class:`~repro.automl.pruners.NoPruner` the monitor only drains
@@ -176,15 +190,9 @@ class TelemetryMonitor:
                 prune = self.study.pruner.should_prune(
                     trial, self.study.trials, self.study.config.maximize)
             if prune:
+                # The kill event publishes when the trial settles, and only
+                # if the prune decided its terminal state.
                 self.executor.kill_trial(trial, KILL_PRUNED)
-                if trial.kill_reason == KILL_PRUNED:
-                    # First kill wins: only the reason that actually landed
-                    # is published, so a trial's stream never carries
-                    # contradictory kill events.  Reports are flushed first
-                    # so the kill never precedes values it was based on.
-                    self._publish_new_reports(trial)
-                    self.study.publish_event(TrialKilled(
-                        trial_id=trial.trial_id, reason=KILL_PRUNED))
 
     def flush(self, trial: Trial) -> None:
         """Publish a settling trial's not-yet-published reports.
@@ -202,7 +210,12 @@ class TelemetryMonitor:
 
 
 class TrialScheduler:
-    """Strategy for feeding asked configurations into a :class:`TrialExecutor`."""
+    """Strategy for feeding asked configurations into a :class:`TrialExecutor`.
+
+    The built-in :class:`RoundScheduler` and :class:`AsyncScheduler` are two
+    refill policies of one dispatch loop; a custom scheduler overrides
+    :meth:`run` wholesale.
+    """
 
     name: str = "base"
 
@@ -217,134 +230,40 @@ class TrialScheduler:
             executor: the worker pool to keep busy.
             remaining: how many budget slots are left to consume.
             worker_names: round-robin worker attribution labels.
-            checkpoint_fn: invoked after every consumed budget slot.
+            checkpoint_fn: invoked after every consumed budget slot (async)
+                or every finished round (round).
         """
         raise NotImplementedError
 
 
-class RoundScheduler(TrialScheduler):
-    """Round-barrier batches: deterministic, but stragglers idle the batch."""
+class _RefillScheduler(TrialScheduler):
+    """A scheduler driven by :class:`_DispatchLoop` under one refill policy."""
 
-    name = "round"
+    #: True: ask a whole round only when nothing is in flight and settle it
+    #: in submission order once every trial is terminal.  False: refill each
+    #: freed slot and settle trials as they complete.
+    barrier: bool = True
 
     def run(self, study: "Study", objective: Objective, executor: TrialExecutor,
             remaining: int, worker_names: Sequence[str],
             checkpoint_fn: CheckpointFn = None) -> None:
-        """Run batches of up to ``executor.n_workers`` trials behind a barrier.
-
-        Each batch waits with a tick callback, so live telemetry still feeds
-        the pruner mid-batch and a cancellation expires the batch within one
-        tick instead of at the barrier.
-        """
-        names = list(worker_names)
-        config = study.config
-        monitor = TelemetryMonitor(study, executor)
-        tick_seconds = _TICK_SECONDS.labels(scheduler=self.name)
-        ticks_total = _TICKS_TOTAL.labels(scheduler=self.name)
-        slots_busy = _SLOTS_BUSY.labels(scheduler=self.name)
-        start_time = time.perf_counter()
-        hard_deadline = (None if config.total_time_limit is None
-                         else start_time + config.total_time_limit)
-        while (remaining > 0 and not study.stop_requested
-               and not study._total_time_exceeded(start_time)):
-            batch_size = min(executor.n_workers, remaining)
-            asked = [study.ask_params() for _ in range(batch_size)]
-            # One entry per asked config: retries mutate in place, and
-            # ``charged`` marks configs that reached a budget-consuming
-            # outcome — a config the time limit abandons before it ever ran
-            # (or whose preempted requeue never re-ran) must not consume a
-            # slot, so a resume re-runs it.
-            entries = [{"params": params, "retries": 0, "charged": False}
-                       for params in asked]
-            pending = list(entries)
-            while pending and not study._total_time_exceeded(start_time):
-                # Cap each retry/requeue wave at the *current* pool width: a
-                # GovernedExecutor's allowance may have shrunk since the ask
-                # (a preempt=True co-tenant arrived), and resubmitting more
-                # than the share would re-saturate the slots the preemptor
-                # was owed.  The remainder waits for the next wave.
-                width = max(1, executor.n_workers)
-                active, pending = pending[:width], pending[width:]
-                batch: List[Trial] = []
-                with study._lock:
-                    for entry in active:
-                        batch.append(study._new_trial(
-                            dict(entry["params"]),
-                            names[len(study.trials) % len(names)]))
-                for trial in batch:
-                    # Outside the study lock: event delivery may block.
-                    study._publish_started(trial)
-
-                def tick() -> bool:
-                    tick_start = time.perf_counter()
-                    monitor.observe(batch)
-                    slots_busy.set(sum(1 for t in batch
-                                       if not t.is_finished))
-                    ticks_total.inc()
-                    tick_seconds.observe(time.perf_counter() - tick_start)
-                    return study.stop_requested
-
-                executor.run_batch(objective, batch, config.trial_time_limit,
-                                   hard_deadline=hard_deadline, tick_fn=tick)
-                for trial in batch:
-                    monitor.flush(trial)
-                    reason = trial.kill_reason
-                    if (reason is not None and reason != KILL_PRUNED
-                            and trial.state is KILLED_STATES.get(reason)):
-                        # The round path's kills (cancel/deadline inside
-                        # run_batch, preemption from the server) publish here
-                        # — after the report flush, before TrialFinished —
-                        # matching the async path's event contract.  Prune
-                        # kills were already published by the monitor, and a
-                        # killed trial that still finished normally (or never
-                        # started: FAILED) gets no kill event.
-                        study.publish_event(TrialKilled(
-                            trial_id=trial.trial_id, reason=reason))
-                    study.tell(trial)
-                    monitor.forget(trial)
-                if study.stop_requested:
-                    # Cancelled mid-batch: the batch's trials were expired as
-                    # CANCELLED by run_batch; nothing is retried and the
-                    # consumed slots are not charged to the budget.
-                    return
-                requeue = []
-                for entry, trial in zip(active, batch):
-                    if (trial.state == TrialState.FAILED
-                            and entry["retries"] < config.max_retries):
-                        entry["retries"] += 1
-                        requeue.append(entry)
-                    elif (trial.state == TrialState.CANCELLED
-                            and trial.kill_reason == KILL_PREEMPTED):
-                        # Preempted by a higher-priority job: re-run the same
-                        # configuration without charging a retry.
-                        requeue.append(entry)
-                    else:
-                        entry["charged"] = True
-                pending = requeue + pending
-            # Only configs that reached a terminal, budget-consuming outcome
-            # are charged; anything the time limit abandoned (never ran, or a
-            # preempted/retry requeue that never re-ran) stays unconsumed for
-            # a later resume.
-            study._budget_used += sum(
-                1 for entry in entries if entry["charged"])
-            remaining -= batch_size
-            if checkpoint_fn is not None:
-                checkpoint_fn()
-        slots_busy.set(0)
+        _DispatchLoop(self, study, executor).run(
+            objective, remaining, worker_names, checkpoint_fn)
 
 
-@dataclass
-class _Flight:
-    """One in-flight trial: the asked params, its retry count and deadlines."""
+class RoundScheduler(_RefillScheduler):
+    """Round barrier: deterministic, but a straggler idles the round.
 
-    params: Dict[str, object]
-    retries: int
-    trial: Trial
-    deadline: Optional[float]
-    submitted_at: float
+    Up to ``n_workers`` configurations are asked only when nothing is in
+    flight; the round is told back in submission order once every trial
+    in it is terminal, so a fixed seed replays the same ask/tell sequence.
+    """
+
+    name = "round"
+    barrier = True
 
 
-class AsyncScheduler(TrialScheduler):
+class AsyncScheduler(_RefillScheduler):
     """Slot refill: every finished trial immediately frees a slot for the next.
 
     ask/tell stay serialised under the study lock, so algorithms see a
@@ -353,198 +272,270 @@ class AsyncScheduler(TrialScheduler):
     """
 
     name = "async"
+    barrier = False
 
-    def run(self, study: "Study", objective: Objective, executor: TrialExecutor,
-            remaining: int, worker_names: Sequence[str],
-            checkpoint_fn: CheckpointFn = None) -> None:
-        """Keep up to ``executor.n_workers`` slots busy until the budget drains.
 
-        The loop wakes at least every :data:`~repro.automl.executors.TICK_INTERVAL`
-        to drain telemetry, feed the pruner, enforce deadlines and observe
-        cancellation; ``executor.n_workers`` is re-read on every refill, so a
-        :class:`GovernedExecutor` allowance change takes effect within a tick.
-        """
-        names = list(worker_names)
-        config = study.config
-        monitor = TelemetryMonitor(study, executor)
-        tick_seconds = _TICK_SECONDS.labels(scheduler=self.name)
-        ticks_total = _TICKS_TOTAL.labels(scheduler=self.name)
-        slots_busy = _SLOTS_BUSY.labels(scheduler=self.name)
-        start_time = time.perf_counter()
-        in_flight: Dict["Future[Trial]", _Flight] = {}
-        # Configurations killed by preemption, waiting to re-run.  They go
-        # through refill() — not straight back to launch() — so the requeue
-        # honours the job's (now smaller) fair-share allowance instead of
-        # instantly re-saturating the slots the preemptor was owed.
-        requeued: List = []
-        submitted = 0
+@dataclass(eq=False)
+class _Flight:
+    """One submitted trial: its asked params, retry count and future."""
 
-        def launch(params: Dict[str, object], retries: int) -> None:
-            with study._lock:
-                trial = study._new_trial(dict(params),
-                                         names[len(study.trials) % len(names)])
-            # Outside the study lock (event delivery may block), before the
-            # submit so TrialStarted precedes anything the worker produces.
-            study._publish_started(trial)
-            future = executor.submit(objective, trial, config.trial_time_limit)
-            now = time.perf_counter()
-            deadline = (None if config.trial_time_limit is None
-                        else now + config.trial_time_limit)
-            in_flight[future] = _Flight(params, retries, trial, deadline, now)
+    params: Dict[str, object]
+    retries: int
+    trial: Trial
+    future: "Future[Trial]"
+    submitted_at: float
 
-        def refill() -> None:
-            nonlocal submitted
-            while (len(in_flight) < executor.n_workers
-                   and not study.stop_requested
-                   and not study._total_time_exceeded(start_time)):
-                if requeued:
-                    params, retries = requeued.pop(0)
-                    launch(params, retries)
-                    continue
-                if submitted >= remaining:
-                    break
-                launch(study.ask_params(), retries=0)
-                submitted += 1
+    @property
+    def terminal(self) -> bool:
+        """Whether the trial's outcome is decided (a killed zombie counts)."""
+        return self.future.done() or self.trial.is_finished
 
-        def settle(flight: _Flight) -> None:
-            """Tell a finished trial back and either retry it or consume a slot."""
-            monitor.flush(flight.trial)
-            if (flight.trial.state == TrialState.CANCELLED
-                    and flight.trial.kill_reason == KILL_PREEMPTED):
-                # The kill event publishes here — the victim's own scheduler
-                # thread — not from the preemptor's, so a subscriber never
-                # sees TrialKilled for (or after) a normally-finished trial:
-                # per-trial order stays started → reports → killed → finished.
-                study.publish_event(TrialKilled(
-                    trial_id=flight.trial.trial_id, reason=KILL_PREEMPTED))
-            study.tell(flight.trial)
-            monitor.forget(flight.trial)
-            if (flight.trial.state == TrialState.CANCELLED
-                    and flight.trial.kill_reason == KILL_PREEMPTED
-                    and not study.stop_requested
-                    and not study._total_time_exceeded(start_time)):
-                # Preempted by a higher-priority job: requeue the same
-                # configuration — no budget slot and no retry is charged.
-                # Queued for refill() so the re-run waits for an allowance
-                # slot: the whole point was to hand this slot to the
-                # preemptor.
-                requeued.append((flight.params, flight.retries))
-            elif flight.trial.state == TrialState.CANCELLED:
-                # Cancelled slots are not charged (matching the round path):
-                # a later resume re-runs them with the remaining budget.
-                if checkpoint_fn is not None:
-                    checkpoint_fn()
-            elif (flight.trial.state == TrialState.FAILED
-                    and flight.retries < config.max_retries
-                    and not study.stop_requested
-                    and not study._total_time_exceeded(start_time)):
-                launch(flight.params, flight.retries + 1)
-            else:
-                study._budget_used += 1
-                if checkpoint_fn is not None:
-                    checkpoint_fn()
 
-        def drain_all(reason: str) -> None:
-            """Expire everything still in flight (cancellation / time budget)."""
-            for future, flight in list(in_flight.items()):
-                in_flight.pop(future)
-                if not future.done():
-                    # A future that already completed finished normally; a
-                    # kill (event) for it would contradict its TrialFinished.
-                    executor.kill_trial(flight.trial, reason)
-                expire_trial(flight.trial, future,
-                             config.trial_time_limit or 0.0, reason=reason)
-                if (flight.trial.kill_reason == reason
-                        and flight.trial.state is KILLED_STATES.get(reason)):
-                    # Publish only when this kill actually decided the
-                    # terminal state: first kill wins (no contradictory
-                    # reasons), and a never-started trial recorded FAILED
-                    # for retry gets no kill event — matching the round
-                    # path.  Pending reports flush ahead of the kill event.
-                    monitor.flush(flight.trial)
-                    study.publish_event(TrialKilled(
-                        trial_id=flight.trial.trial_id, reason=reason))
-                settle(flight)
+class _DispatchLoop:
+    """The one loop that submits trials, waits on them and settles them.
 
-        refill()
-        while in_flight:
-            if study.stop_requested:
+    Every tick (at most :data:`TICK_INTERVAL` apart) it enforces
+    cancellation, the total time limit and the per-trial deadlines, feeds
+    live telemetry to :class:`TelemetryMonitor`, settles terminal trials
+    (kill event, tell, retry or requeue, budget charge) and refills the
+    freed slots.  ``executor.n_workers`` is re-read on every refill, so a
+    :class:`GovernedExecutor` allowance change takes effect within a tick.
+    The scheduler's ``barrier`` flag is the only policy switch: it decides
+    when the loop asks and when it settles.
+    """
+
+    def __init__(self, scheduler: _RefillScheduler, study: "Study",
+                 executor: TrialExecutor) -> None:
+        self.barrier = scheduler.barrier
+        self.study = study
+        self.executor = executor
+        self.config = study.config
+        self.monitor = TelemetryMonitor(study, executor)
+        self.tick_seconds = _TICK_SECONDS.labels(scheduler=scheduler.name)
+        self.ticks_total = _TICKS_TOTAL.labels(scheduler=scheduler.name)
+        self.slots_busy = _SLOTS_BUSY.labels(scheduler=scheduler.name)
+        # Submission order, so a round settles exactly as it was asked.
+        self.in_flight: List[_Flight] = []
+        # (params, retries) waiting for a slot: retries, preempted
+        # configurations and a round's asks beyond the current width.
+        # Requeues go through refill(), not straight to submit, so they
+        # honour a fair-share allowance that shrank since the ask.
+        self.queued: List[Tuple[Dict[str, object], int]] = []
+        self.asked = 0
+        # Latest observed start of any of this loop's trials (see
+        # enforce_deadlines for the starvation rule it feeds).
+        self.latest_start: Optional[float] = None
+        self.next_deadline: Optional[float] = None
+
+    # ------------------------------------------------------------------ #
+    def run(self, objective: Objective, remaining: int,
+            worker_names: Sequence[str], checkpoint_fn: CheckpointFn) -> None:
+        """Consume ``remaining`` budget slots (see :meth:`TrialScheduler.run`)."""
+        self.objective = objective
+        self.remaining = remaining
+        self.names = list(worker_names)
+        self.checkpoint_fn = checkpoint_fn
+        limit = self.config.total_time_limit
+        self.hard_deadline = (None if limit is None
+                              else time.perf_counter() + limit)
+        self.refill()
+        while self.in_flight:
+            self.wait()
+            tick_start = time.perf_counter()
+            if self.study.stop_requested:
                 # Job cancelled: everything in flight is expired CANCELLED
                 # within this tick; settle() never retries a cancelled trial.
-                drain_all(KILL_CANCELLED)
+                self.expire_live(KILL_CANCELLED)
+            elif self.out_of_time():
+                # Total study budget spent: nothing may outlive it, even on
+                # a wedged pool.
+                self.expire_live(KILL_DEADLINE)
+            else:
+                self.enforce_deadlines(tick_start)
+            self.monitor.observe([f.trial for f in self.in_flight
+                                  if not f.terminal])
+            self.settle_ready()
+            self.refill()
+            self.slots_busy.set(len(self.in_flight))
+            self.ticks_total.inc()
+            self.tick_seconds.observe(time.perf_counter() - tick_start)
+        self.slots_busy.set(0)
+
+    def out_of_time(self) -> bool:
+        return (self.hard_deadline is not None
+                and time.perf_counter() > self.hard_deadline)
+
+    def open(self) -> bool:
+        """Whether new work (asks, retries, requeues) may still be launched."""
+        return not self.study.stop_requested and not self.out_of_time()
+
+    def checkpoint(self) -> None:
+        if self.checkpoint_fn is not None:
+            self.checkpoint_fn()
+
+    # ------------------------------------------------------------------ #
+    # Submitting
+    # ------------------------------------------------------------------ #
+    def launch(self, params: Dict[str, object], retries: int,
+               submitted_at: float) -> None:
+        study = self.study
+        with study._lock:
+            trial = study._new_trial(
+                dict(params), self.names[len(study.trials) % len(self.names)])
+        # Outside the study lock (event delivery may block), before the
+        # submit so TrialStarted precedes anything the worker produces.
+        study._publish_started(trial)
+        future = self.executor.submit(self.objective, trial,
+                                      self.config.trial_time_limit)
+        self.in_flight.append(_Flight(params, retries, trial, future,
+                                      submitted_at))
+
+    def refill(self) -> None:
+        """Fill free slots: queued work first, then fresh asks."""
+        if self.barrier and self.in_flight:
+            return
+        width = max(1, self.executor.n_workers)
+        if (self.barrier and not self.queued and self.asked < self.remaining
+                and self.open()):
+            size = min(width, self.remaining - self.asked)
+            self.queued = [(self.study.ask_params(), 0) for _ in range(size)]
+            self.asked += size
+        # One submit time per refill: a round's trials are siblings.
+        now = time.perf_counter()
+        while len(self.in_flight) < width and self.open():
+            if self.queued:
+                self.launch(*self.queued.pop(0), now)
+            elif not self.barrier and self.asked < self.remaining:
+                self.asked += 1
+                self.launch(self.study.ask_params(), 0, now)
+            else:
                 break
-            if study._total_time_exceeded(start_time):
-                # Total study budget spent: nothing may outlive it (matches
-                # the round path's hard deadline) — expire everything still
-                # in flight; settle() won't retry past the limit.
-                drain_all(KILL_DEADLINE)
-                break
-            deadlines = [f.deadline for f in in_flight.values() if f.deadline is not None]
-            if config.total_time_limit is not None:
-                deadlines.append(start_time + config.total_time_limit)
-            timeout = (max(0.0, min(deadlines) - time.perf_counter()) + 0.01
-                       if deadlines else None)
-            # Wake at least every tick: telemetry, pruning and cancellation
-            # must not wait for the next completion or deadline.
-            timeout = TICK_INTERVAL if timeout is None else min(timeout, TICK_INTERVAL)
-            done, _ = wait(list(in_flight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            tick_start = time.perf_counter()
-            for future in done:
-                flight = in_flight.pop(future)
-                exc = future.exception()
-                if exc is not None:
-                    # Only non-Exception BaseExceptions (e.g. KeyboardInterrupt)
-                    # escape execute_trial: surface them on the scheduling
-                    # thread so the study aborts instead of spinning.
-                    raise exc
-                settle(flight)
-            now = time.perf_counter()
-            for future, flight in list(in_flight.items()):
-                if flight.deadline is None or now <= flight.deadline or future.done():
-                    continue
-                limit = config.trial_time_limit or 0.0
-                started = flight.trial.started_at
-                if started is None and future.running():
-                    # Process workers never ship started_at back mid-run; the
-                    # first time the future reports running is the best proxy.
-                    flight.trial.started_at = started = now
-                if started is not None and now <= started + limit:
-                    # The trial spent part of its window queued behind other
-                    # work (e.g. another job sharing the pool): the clock runs
-                    # from actual start, so re-arm to the true deadline.
-                    flight.deadline = started + limit
-                    continue
-                if started is None and not future.running():
-                    # Still queued: don't fail a healthy trial for pool
-                    # contention; its clock starts when it does — but bound
-                    # the wait so a wedged pool can't hang the study.
-                    # (Process workers never report started_at back, but they
-                    # also turn running only when handed to a worker.)
-                    grace_deadline = (flight.submitted_at
-                                      + limit * STARVATION_GRACE_FACTOR)
-                    if now < grace_deadline:
-                        flight.deadline = min(now + limit, grace_deadline)
-                        continue
-                executor.kill_trial(flight.trial, KILL_DEADLINE)
-                expire_trial(flight.trial, future, limit)
-                if (flight.trial.kill_reason == KILL_DEADLINE
-                        and flight.trial.state is TrialState.TIMED_OUT):
-                    # Publish only when the deadline kill decided the
-                    # terminal state: a never-started trial records FAILED
-                    # (retryable) and gets no kill event.  Pending reports
-                    # flush ahead of the kill event.
-                    monitor.flush(flight.trial)
-                    study.publish_event(TrialKilled(
-                        trial_id=flight.trial.trial_id, reason=KILL_DEADLINE))
-                in_flight.pop(future)
-                settle(flight)
-            monitor.observe([f.trial for f in in_flight.values()])
-            refill()
-            slots_busy.set(len(in_flight))
-            ticks_total.inc()
-            tick_seconds.observe(time.perf_counter() - tick_start)
-        slots_busy.set(0)
+
+    # ------------------------------------------------------------------ #
+    # Waiting and killing
+    # ------------------------------------------------------------------ #
+    def wait(self) -> None:
+        """Block until a live trial finishes, a deadline is due or a tick passes."""
+        live = [f.future for f in self.in_flight if not f.terminal]
+        if not live:
+            return
+        timeout = TICK_INTERVAL
+        now = time.perf_counter()
+        for deadline in (self.next_deadline, self.hard_deadline):
+            if deadline is not None:
+                timeout = min(timeout, max(0.0, deadline - now) + 0.01)
+        wait(live, timeout=timeout, return_when=FIRST_COMPLETED)
+
+    def expire(self, flight: _Flight, reason: str) -> None:
+        self.executor.kill_trial(flight.trial, reason)
+        expire_trial(flight.trial, flight.future,
+                     self.config.trial_time_limit or 0.0, reason=reason)
+
+    def expire_live(self, reason: str) -> None:
+        for flight in self.in_flight:
+            if not flight.terminal:
+                self.expire(flight, reason)
+
+    def enforce_deadlines(self, now: float) -> None:
+        """Expire trials past their deadline; the clock runs from the start.
+
+        A started trial gets ``trial_time_limit`` from its start, so queue
+        wait behind other work (e.g. a co-tenant job) never counts.  A trial
+        that has not started is failed "never started" (retryable) at
+        ``min(latest sibling start + limit, submit + limit *
+        STARVATION_GRACE_FACTOR)`` — the first term only once a sibling
+        started after this trial's submission (the pool is serving us, so
+        our own zombie stragglers starve it), the second so a wedged pool
+        cannot hang the study.
+        """
+        live = [f for f in self.in_flight if not f.terminal]
+        for flight in live:
+            if flight.trial.started_at is None and flight.future.running():
+                # Process workers never ship started_at back mid-run; the
+                # first time the future reports running is the best proxy.
+                flight.trial.started_at = now
+        for flight in self.in_flight:
+            if flight.trial.started_at is not None:
+                self.latest_start = max(self.latest_start or 0.0,
+                                        flight.trial.started_at)
+        self.next_deadline = None
+        limit = self.config.trial_time_limit
+        if limit is None:
+            return
+        for flight in live:
+            started, submitted = flight.trial.started_at, flight.submitted_at
+            if started is not None:
+                deadline = started + limit
+            elif self.latest_start is not None and self.latest_start >= submitted:
+                deadline = min(self.latest_start + limit,
+                               submitted + limit * STARVATION_GRACE_FACTOR)
+            else:
+                deadline = submitted + limit * STARVATION_GRACE_FACTOR
+            if now < deadline:
+                if self.next_deadline is None or deadline < self.next_deadline:
+                    self.next_deadline = deadline
+                continue
+            # A zombie straggler's late result is discarded on arrival.
+            self.expire(flight, KILL_DEADLINE)
+
+    # ------------------------------------------------------------------ #
+    # Settling
+    # ------------------------------------------------------------------ #
+    def settle_ready(self) -> None:
+        """Settle terminal trials: all at once for a round, else as they end."""
+        ready = [f for f in self.in_flight if f.terminal]
+        if not ready or (self.barrier and len(ready) < len(self.in_flight)):
+            return
+        self.in_flight = [f for f in self.in_flight if f not in ready]
+        requeue = []
+        for flight in ready:
+            entry = self.settle(flight)
+            if entry is not None:
+                requeue.append(entry)
+        # Retries and requeues run before anything not yet launched.
+        self.queued[:0] = requeue
+        if self.barrier and not (self.queued and self.open()):
+            self.checkpoint()  # the round is over (done or abandoned)
+
+    def settle(self, flight: _Flight) -> Optional[Tuple[Dict[str, object], int]]:
+        """Tell a terminal trial back; return the entry to requeue, if any.
+
+        The one point where a trial's kill event publishes: only when the
+        kill decided its terminal state (first kill wins; a killed trial
+        that still finished normally, or a never-started one recorded
+        FAILED, gets none), after its reports and before TrialFinished.
+        A retry, preemption requeue, or cancellation charges no budget slot,
+        and neither does work the stop or the time limit abandons.
+        """
+        study, trial, future = self.study, flight.trial, flight.future
+        if future.done() and not future.cancelled():
+            exc = future.exception()
+            if exc is not None:
+                # Only non-Exception BaseExceptions (e.g. KeyboardInterrupt)
+                # escape execute_trial: surface them on the scheduling
+                # thread so the study aborts instead of spinning.
+                raise exc
+        self.monitor.flush(trial)
+        reason = trial.kill_reason
+        if reason is not None and trial.state is KILLED_STATES.get(reason):
+            study.publish_event(TrialKilled(trial_id=trial.trial_id,
+                                            reason=reason))
+        study.tell(trial)
+        self.monitor.forget(trial)
+        if trial.state is TrialState.CANCELLED:
+            if reason == KILL_PREEMPTED and self.open():
+                # Slot yielded to a higher-priority job: re-run the same
+                # configuration without charging a slot or a retry.
+                return flight.params, flight.retries
+        elif (trial.state is TrialState.FAILED
+                and flight.retries < self.config.max_retries):
+            if self.open():
+                return flight.params, flight.retries + 1
+        else:
+            study._budget_used += 1
+        if not self.barrier:
+            self.checkpoint()
+        return None
 
 
 # --------------------------------------------------------------------------- #

@@ -201,7 +201,10 @@ class AntTuneServer:
         self.lease_seconds = lease_seconds
         self.scheduler = scheduler
         self.base_seed = base_seed
-        self.storage = (StudyStorage(storage) if isinstance(storage, str)
+        # A storage opened here from a path is ours to close at shutdown();
+        # a StudyStorage instance stays the caller's.
+        self._owns_storage = isinstance(storage, str)
+        self.storage = (StudyStorage(storage) if self._owns_storage
                         else storage)
         self._jobs: Dict[int, TuneJob] = {}
         self._jobs_lock = threading.Lock()
@@ -1272,7 +1275,9 @@ class AntTuneServer:
 
         With ``wait=True`` (default) queued and running jobs drain on the
         existing pool first; the pool is released only afterwards, and no new
-        pool can be created once the server is closed.
+        pool can be created once the server is closed.  A storage the server
+        opened from a path is closed last (its SQLite connection and event
+        log segments); a :class:`StudyStorage` passed in stays open.
 
         Args:
             wait: block until in-flight jobs drain before closing the pool.
@@ -1310,6 +1315,8 @@ class AntTuneServer:
             # Everything published above is already flushed per append; this
             # settles the stronger fsync durability before the process exits.
             log.flush()
+        if self._owns_storage:
+            self.storage.close()
 
     def __enter__(self) -> "AntTuneServer":
         return self

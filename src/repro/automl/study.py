@@ -20,14 +20,18 @@ The systematic features described in the paper are modelled explicitly:
   version 2 checkpoints capture the algorithm's and study's RNG state, so a
   resumed study replays *identically* to an uninterrupted one.
 
-Parallel runs default to round-based scheduling: up to ``n_workers``
-configurations are asked from the algorithm, evaluated concurrently, then
-told back in submission order under a lock.  Because ask/tell stay
-serialised, every sequential algorithm works unchanged and a fixed seed
-gives a deterministic trial set.  ``scheduler="async"`` switches to the
-slot-refill :class:`~repro.automl.scheduler.AsyncScheduler`, which keeps all
-workers busy past stragglers at the cost of run-to-run reproducibility of
-the trial sequence.
+Every run goes through the one dispatch loop of
+:mod:`repro.automl.scheduler`, whatever the worker count: ``n_workers=1``
+runs each trial inline on the calling thread
+(:class:`~repro.automl.executors.SynchronousExecutor`) under the same loop
+that drives a pool.  The default round policy asks up to ``n_workers``
+configurations, evaluates them concurrently, then tells them back in
+submission order under a lock.  Because ask/tell stay serialised, every
+sequential algorithm works unchanged and a fixed seed gives a deterministic
+trial set — the same one for any worker count when the algorithm ignores
+history.  ``scheduler="async"`` switches to the slot-refill policy, which
+keeps all workers busy past stragglers at the cost of run-to-run
+reproducibility of the trial sequence.
 """
 
 from __future__ import annotations
@@ -43,11 +47,7 @@ from repro.automl import metrics as _metrics
 from repro.automl.algorithms.base import SearchAlgorithm, completed_trials
 from repro.automl.algorithms.racos import RACOS
 from repro.automl.events import TrialEvent, TrialFinished, TrialStarted
-from repro.automl.executors import (
-    TrialExecutor,
-    execute_trial,
-    make_executor,
-)
+from repro.automl.executors import TrialExecutor, make_executor
 from repro.automl.pruners import NoPruner, Pruner
 from repro.automl.scheduler import SchedulerLike, make_scheduler
 from repro.automl.search_space import SearchSpace
@@ -102,7 +102,7 @@ class StudyConfig:
 
 
 class Study:
-    """Hyper-parameter study: sequential by default, pooled with ``n_workers>1``."""
+    """Hyper-parameter study: inline by default, pooled with ``n_workers>1``."""
 
     def __init__(self, space: SearchSpace, algorithm: Optional[SearchAlgorithm] = None,
                  config: Optional[StudyConfig] = None, pruner: Optional[Pruner] = None,
@@ -177,7 +177,7 @@ class Study:
     # ------------------------------------------------------------------ #
     # Optimisation loop
     # ------------------------------------------------------------------ #
-    def optimize(self, objective: Objective, worker_name: str = "worker-0", *,
+    def optimize(self, objective: Objective, *,
                  n_workers: int = 1, executor: Optional[TrialExecutor] = None,
                  backend: str = "auto", base_seed: int = 0,
                  scheduler: SchedulerLike = None,
@@ -186,36 +186,36 @@ class Study:
                  checkpoint_fn: Optional[Callable[[], None]] = None) -> Optional[Trial]:
         """Run the configured number of trials and return the best one.
 
-        With ``n_workers=1`` (and no explicit ``executor``, ``backend`` or
-        ``scheduler``) trials run inline on the calling thread, exactly as the
-        historical sequential loop did.  Otherwise trials are evaluated
-        concurrently on a worker pool (``backend``: ``"thread"`` or
-        ``"process"``, with ``base_seed`` feeding the process workers' RNG
-        streams; see :func:`repro.automl.executors.make_executor`),
-        driven by the requested scheduler: ``"round"`` (deterministic batches,
-        the default) or ``"async"`` (slot refill — stragglers don't idle the
-        other workers).  ask/tell remain serialised in both modes.
+        Trials run on ``executor``, or on one built for ``n_workers`` workers
+        on ``backend`` (``"auto"`` runs a single worker inline on the calling
+        thread, several on a thread pool; ``"process"`` uses worker
+        processes, with ``base_seed`` feeding their RNG streams; see
+        :func:`repro.automl.executors.make_executor`).  The requested
+        scheduler drives it: ``"round"`` (deterministic rounds, the default)
+        or ``"async"`` (slot refill — stragglers don't idle the other
+        workers).  ask/tell remain serialised in both modes.
 
-        ``checkpoint_path`` saves the study state as JSON after every trial
-        (sequential) or scheduling step (parallel); ``checkpoint_fn`` is an
-        arbitrary callback invoked at the same points (e.g. persisting into a
-        :class:`~repro.automl.storage.StudyStorage`).  See
+        ``checkpoint_path`` saves the study state as JSON after every round
+        (round scheduler) or consumed budget slot (async); ``checkpoint_fn``
+        is an arbitrary callback invoked at the same points (e.g. persisting
+        into a :class:`~repro.automl.storage.StudyStorage`).  See
         :meth:`restore_checkpoint`.  Returns ``None`` when no trial completed
         and ``raise_on_all_failed`` is False.
         """
         remaining = max(0, self.config.n_trials - self._resume_offset)
         self._budget_used, self._resume_offset = self._resume_offset, 0
-        checkpoint_cb = self._checkpoint_callback(checkpoint_path, checkpoint_fn)
-        sequential = (executor is None and n_workers == 1
-                      and backend in ("auto", "sync") and scheduler is None)
-        if sequential:
-            self._run_sequential(objective, worker_name, remaining, checkpoint_cb)
-        else:
-            self._run_parallel(objective, remaining, n_workers=n_workers,
-                               executor=executor, backend=backend,
-                               base_seed=base_seed, scheduler=scheduler,
-                               worker_names=worker_names,
-                               checkpoint_fn=checkpoint_cb)
+        owns_executor = executor is None
+        executor = executor if executor is not None else make_executor(
+            n_workers, backend=backend, base_seed=base_seed)
+        names = list(worker_names) if worker_names else [
+            f"worker-{i}" for i in range(executor.n_workers)]
+        try:
+            make_scheduler(scheduler).run(
+                self, objective, executor, remaining, names,
+                self._checkpoint_callback(checkpoint_path, checkpoint_fn))
+        finally:
+            if owns_executor:
+                executor.shutdown()
         if not completed_trials(self.trials):
             if self.config.raise_on_all_failed:
                 raise TrialError("every trial in the study failed")
@@ -284,40 +284,6 @@ class Study:
             trial_id=trial.trial_id, state=trial.state.value,
             value=trial.value, record=record))
 
-    def _run_sequential(self, objective: Objective, worker_name: str,
-                        remaining: int,
-                        checkpoint_fn: Optional[Callable[[], None]]) -> None:
-        start_time = time.perf_counter()
-        for _ in range(remaining):
-            if self.stop_requested or self._total_time_exceeded(start_time):
-                break
-            params = self.ask_params()
-            trial = self._run_single(objective, params, worker_name)
-            retries = 0
-            while trial.state == TrialState.FAILED and retries < self.config.max_retries:
-                retries += 1
-                trial = self._run_single(objective, dict(params), worker_name)
-            self._budget_used += 1
-            if checkpoint_fn is not None:
-                checkpoint_fn()
-
-    def _run_parallel(self, objective: Objective, remaining: int, *, n_workers: int,
-                      executor: Optional[TrialExecutor], backend: str,
-                      base_seed: int, scheduler: SchedulerLike,
-                      worker_names: Optional[Sequence[str]],
-                      checkpoint_fn: Optional[Callable[[], None]]) -> None:
-        owns_executor = executor is None
-        executor = executor if executor is not None else make_executor(
-            n_workers, backend=backend, base_seed=base_seed)
-        names = list(worker_names) if worker_names else [
-            f"worker-{i}" for i in range(executor.n_workers)]
-        try:
-            make_scheduler(scheduler).run(self, objective, executor, remaining,
-                                          names, checkpoint_fn)
-        finally:
-            if owns_executor:
-                executor.shutdown()
-
     def _new_trial(self, params: Dict[str, object], worker: str) -> Trial:
         # No event publish here: callers hold the study lock, and event
         # delivery can block (turnstile, subscriber callbacks, storage
@@ -336,17 +302,6 @@ class Study:
         self.publish_event(TrialStarted(trial_id=trial.trial_id,
                                         params=dict(trial.params),
                                         worker=trial.worker))
-
-    def _run_single(self, objective: Objective, params: Dict[str, object], worker: str) -> Trial:
-        trial = self._new_trial(params, worker)
-        self._publish_started(trial)
-        execute_trial(objective, trial, self.config.trial_time_limit)
-        self.tell(trial)
-        return trial
-
-    def _total_time_exceeded(self, start_time: float) -> bool:
-        limit = self.config.total_time_limit
-        return limit is not None and (time.perf_counter() - start_time) > limit
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume

@@ -10,6 +10,8 @@ import pytest
 
 from repro.automl import (
     RACOS,
+    FairShareGovernor,
+    GovernedExecutor,
     ProcessPoolTrialExecutor,
     RandomSearch,
     Study,
@@ -87,38 +89,67 @@ class TestExecutors:
         assert active["peak"] >= 2
         assert len(study.trials) == 8
 
-    def test_late_failure_does_not_overwrite_timeout(self):
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_late_failure_does_not_overwrite_timeout(self, space, scheduler):
         executor = ThreadPoolTrialExecutor(1)
 
         def late_boom(trial):
             time.sleep(0.3)
             raise RuntimeError("late boom")
 
-        trial = Trial(0, {"x": 0.5})
-        executor.run_batch(late_boom, [trial], trial_time_limit=0.05)
+        study = _study(space, n_trials=1, trial_time_limit=0.05,
+                       raise_on_all_failed=False)
+        study.optimize(late_boom, executor=executor, scheduler=scheduler)
+        (trial,) = study.trials
         assert trial.state == TrialState.TIMED_OUT
         time.sleep(0.4)  # let the straggler thread raise after the deadline
         assert trial.state == TrialState.TIMED_OUT  # not overwritten to FAILED
         assert trial.error is None  # late error discarded with the late result
         executor.shutdown()
 
-    def test_starved_queued_trial_fails_instead_of_timing_out(self):
-        executor = ThreadPoolTrialExecutor(1)
-        first, queued = Trial(0, {"x": 0.1}), Trial(1, {"x": 0.2})
-        executor.run_batch(lambda t: time.sleep(0.3) or 1.0, [first, queued],
-                           trial_time_limit=0.05)
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_starved_queued_trial_fails_instead_of_timing_out(self, space,
+                                                              scheduler):
+        inner = ThreadPoolTrialExecutor(1)
+        # Two slots over one pool thread: the second trial queues behind
+        # the first, a non-cooperative straggler.
+        executor = GovernedExecutor(inner, FairShareGovernor(2), "job")
+        study = _study(space, n_trials=2, trial_time_limit=0.05,
+                       max_retries=0, raise_on_all_failed=False)
+        study.optimize(lambda t: time.sleep(0.3) or 1.0, executor=executor,
+                       scheduler=scheduler)
+        first, queued = study.trials
         assert first.state == TrialState.TIMED_OUT
         # The queued trial never ran: FAILED (retryable), not a fake timeout.
         assert queued.state == TrialState.FAILED
         assert "never started" in queued.error
-        executor.shutdown()
+        inner.shutdown()
+
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_starved_trial_fails_one_limit_after_a_sibling_started(
+            self, space, scheduler):
+        # Our own straggler holds the only thread: the queued trial fails
+        # one limit after its sibling started, not after the 5-limit grace
+        # reserved for pools busy with other owners' work.
+        inner = ThreadPoolTrialExecutor(1)
+        executor = GovernedExecutor(inner, FairShareGovernor(2), "job")
+        study = _study(space, n_trials=2, trial_time_limit=0.2,
+                       max_retries=0, raise_on_all_failed=False)
+        start = time.perf_counter()
+        study.optimize(lambda t: time.sleep(1.5) or 1.0, executor=executor,
+                       scheduler=scheduler)
+        elapsed = time.perf_counter() - start
+        assert [t.state for t in study.trials] == [TrialState.TIMED_OUT,
+                                                   TrialState.FAILED]
+        assert elapsed < 0.6  # the grace alone would wait 1.0 s
+        inner.shutdown()
 
     def test_executor_survives_pool_shutdown(self):
         executor = ThreadPoolTrialExecutor(2)
         trials = [Trial(0, {"x": 0.5}), Trial(1, {"x": 0.25})]
-        executor.run_batch(lambda t: t.params["x"], trials[:1])
+        executor.submit(lambda t: t.params["x"], trials[0]).result(timeout=10.0)
         executor.shutdown()  # worker death: the pool is gone
-        executor.run_batch(lambda t: t.params["x"], trials[1:])
+        executor.submit(lambda t: t.params["x"], trials[1]).result(timeout=10.0)
         assert all(t.state == TrialState.COMPLETED for t in trials)
         executor.shutdown()
 
@@ -198,9 +229,9 @@ class TestProcessPool:
         executor = ProcessPoolTrialExecutor(2)
         trials = [Trial(0, {"x": 0.5}, state=TrialState.RUNNING),
                   Trial(1, {"x": 0.25}, state=TrialState.RUNNING)]
-        executor.run_batch(_picklable_objective, trials[:1])
+        executor.submit(_picklable_objective, trials[0]).result(timeout=30.0)
         executor.shutdown()  # worker death: the pool is gone
-        executor.run_batch(_picklable_objective, trials[1:])
+        executor.submit(_picklable_objective, trials[1]).result(timeout=30.0)
         assert all(t.state == TrialState.COMPLETED for t in trials)
         executor.shutdown()
 

@@ -1,8 +1,8 @@
-"""Tests for the observability plane: registry, spans, exposition, tracing.
+"""Tests for the observability plane: registry, exposition, tracing.
 
 Covers the :mod:`repro.automl.metrics` registry in isolation (exact totals
-under thread contention, Prometheus exposition invariants), the trace-span
-stack, trace-id propagation through events / the HTTP layer / the job
+under thread contention, Prometheus exposition invariants), trace-id
+propagation through events / the HTTP layer / the job
 lifecycle, the cumulative-drop-counter contracts, and the CLI ``metrics``
 subcommand in both local-db and live-server modes.
 """
@@ -26,11 +26,8 @@ from repro.automl.events import (
 from repro.automl.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    current_span,
     exponential_buckets,
-    new_span_id,
     new_trace_id,
-    span,
 )
 
 HELPER = "obs_metrics_helper"
@@ -237,59 +234,13 @@ class TestConcurrency:
 
 
 # --------------------------------------------------------------------------- #
-# Trace spans
-# --------------------------------------------------------------------------- #
-class TestSpans:
-    def test_span_times_and_records(self):
-        registry = MetricsRegistry()
-        with span("unit.test", registry=registry) as s:
-            pass
-        assert s.duration is not None and s.duration >= 0
-        sample = registry.snapshot()["anttune_span_seconds"]["samples"][0]
-        assert sample["labels"] == {"span": "unit.test"}
-        assert sample["count"] == 1
-
-    def test_nested_spans_inherit_trace_and_parent(self):
-        registry = MetricsRegistry()
-        with span("outer", registry=registry) as outer:
-            assert current_span() is outer
-            with span("inner", registry=registry) as inner:
-                assert current_span() is inner
-                assert inner.trace_id == outer.trace_id
-                assert inner.parent_id == outer.span_id
-            assert current_span() is outer
-        assert current_span() is None
-
-    def test_explicit_trace_id_joins_a_trace(self):
-        registry = MetricsRegistry()
-        with span("joined", trace_id="feedface00000001",
-                  registry=registry) as s:
-            assert s.trace_id == "feedface00000001"
-            assert s.parent_id is None
-
-    def test_id_generators(self):
-        assert len(new_trace_id()) == 16
-        assert len(new_span_id()) == 8
-        assert new_trace_id() != new_trace_id()
-
-    def test_spans_are_thread_local(self):
-        registry = MetricsRegistry()
-        seen = {}
-
-        def other_thread():
-            seen["span"] = current_span()
-
-        with span("outer", registry=registry):
-            t = threading.Thread(target=other_thread)
-            t.start()
-            t.join()
-        assert seen["span"] is None
-
-
-# --------------------------------------------------------------------------- #
 # Trace ids on the wire
 # --------------------------------------------------------------------------- #
 class TestEventTraceIds:
+    def test_trace_id_generator(self):
+        assert len(new_trace_id()) == 16
+        assert new_trace_id() != new_trace_id()
+
     def test_trace_id_round_trips(self):
         event = TrialStarted(trial_id=1, params={"x": 0.5}, worker="w",
                              job_id=3, seq=0, trace_id="abc123")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from repro.automl import (
     RACOS,
     AsyncScheduler,
+    GridSearch,
+    MedianPruner,
     RandomSearch,
     RoundScheduler,
     Study,
@@ -18,7 +22,13 @@ from repro.automl import (
     TrialScheduler,
     make_scheduler,
 )
-from repro.automl.search_space import SearchSpace, Uniform
+from repro.automl.events import (
+    TrialFinished,
+    TrialKilled,
+    TrialReport,
+    TrialStarted,
+)
+from repro.automl.search_space import Choice, SearchSpace, Uniform
 from repro.automl.trial import TrialState
 
 
@@ -190,3 +200,60 @@ class TestAsyncScheduler:
     def test_base_scheduler_is_abstract(self, space):
         with pytest.raises(NotImplementedError):
             TrialScheduler().run(_study(space), lambda t: 0.0, None, 0, ["w"])
+
+
+class TestEventContract:
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_mixed_objectives_keep_per_trial_event_order(self, scheduler):
+        # One trial of each kind: fast, failing-then-retried, a deadline
+        # straggler and one the MedianPruner kills mid-run.  Both policies
+        # share one loop, so both give every trial started -> reports ->
+        # (at most one) killed -> finished, and the same terminal states.
+        space = SearchSpace({"kind": Choice(("fast", "flaky", "straggler",
+                                             "pruned"))})
+        failed = set()
+        lock = threading.Lock()
+
+        def objective(trial):
+            kind = trial.params["kind"]
+            if kind == "flaky":
+                with lock:
+                    first = kind not in failed
+                    failed.add(kind)
+                if first:
+                    raise RuntimeError("first attempt fails")
+            if kind in ("straggler", "pruned"):
+                value = 1.0 if kind == "straggler" else 0.0
+                for _ in range(150):
+                    trial.report(value)  # raises once killed
+                    time.sleep(0.02)
+                return value
+            for _ in range(100):
+                trial.report(1.0)
+            return 1.0
+
+        study = Study(space, algorithm=GridSearch(rng=np.random.default_rng(0)),
+                      config=StudyConfig(n_trials=4, trial_time_limit=0.5,
+                                         max_retries=1),
+                      pruner=MedianPruner(warmup_steps=0, min_trials=1),
+                      rng=np.random.default_rng(0))
+        events = []
+        study._event_sink = events.append
+        study.optimize(objective, n_workers=4, scheduler=scheduler)
+
+        assert Counter(t.state for t in study.trials) == Counter({
+            TrialState.COMPLETED: 2, TrialState.FAILED: 1,
+            TrialState.TIMED_OUT: 1, TrialState.PRUNED: 1})
+        codes = {TrialStarted: "S", TrialReport: "R", TrialKilled: "K",
+                 TrialFinished: "F"}
+        kills = {}
+        for trial in study.trials:
+            stream = [e for e in events if e.trial_id == trial.trial_id]
+            shape = "".join(codes[type(e)] for e in stream)
+            assert re.fullmatch("SR*K?F", shape), (trial.params, shape)
+            steps = [e.step for e in stream if isinstance(e, TrialReport)]
+            assert steps == list(range(len(steps)))
+            assert stream[-1].state == trial.state.value
+            kills.update({trial.params["kind"]: e.reason for e in stream
+                          if isinstance(e, TrialKilled)})
+        assert kills == {"straggler": "deadline", "pruned": "pruned"}

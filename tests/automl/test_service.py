@@ -3,8 +3,11 @@ per-job seeds, fault isolation and persistence/resume."""
 
 from __future__ import annotations
 
+import gc
+import sqlite3
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +237,34 @@ class TestPersistence:
             assert listed[0]["name"] == "persisted"
             assert listed[0]["status"] == JobState.COMPLETED.value
             assert listed[0]["completed"] == 4
+
+    def test_path_built_server_closes_its_storage(self, space, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            server = AntTuneServer(num_workers=1,
+                                   storage=str(tmp_path / "owned.db"))
+            job_id = server.submit(space, lambda t: t.params["x"],
+                                   config=StudyConfig(n_trials=1))
+            server.wait(job_id, timeout=10.0)
+            storage, log = server.storage, server.event_log
+            server.shutdown()
+            assert not [a for a in log._appenders.values()
+                        if a.handle is not None]
+            with pytest.raises(sqlite3.ProgrammingError):
+                storage.list_studies()
+            del server, storage, log
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_caller_owned_storage_stays_open(self, space, tmp_path):
+        with StudyStorage(str(tmp_path / "shared.db")) as storage:
+            with AntTuneServer(num_workers=1, storage=storage) as server:
+                job_id = server.submit(space, lambda t: t.params["x"],
+                                       config=StudyConfig(n_trials=1),
+                                       study_name="kept")
+                server.wait(job_id, timeout=10.0)
+            assert storage.study_exists("kept")
 
     def test_study_resumes_in_fresh_server_process(self, space, tmp_path):
         path = str(tmp_path / "service.db")

@@ -264,7 +264,7 @@ class TestFairShareGovernor:
             assert view.n_workers == 1
             view.shutdown()  # must NOT touch the shared inner pool
             trial = Trial(0, {"x": 0.5}, state=TrialState.RUNNING)
-            view.run_batch(lambda t: t.params["x"], [trial])
+            view.submit(lambda t: t.params["x"], trial).result(timeout=10.0)
             assert trial.state == TrialState.COMPLETED
         finally:
             inner.close()
