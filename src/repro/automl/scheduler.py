@@ -56,7 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.automl import metrics as _metrics
@@ -284,11 +284,20 @@ class _Flight:
     trial: Trial
     future: "Future[Trial]"
     submitted_at: float
+    #: Set when the loop itself expired the trial (its zombie future may
+    #: never resolve).
+    expired: bool = field(default=False, init=False)
 
     @property
     def terminal(self) -> bool:
-        """Whether the trial's outcome is decided (a killed zombie counts)."""
-        return self.future.done() or self.trial.is_finished
+        """Whether the trial's outcome is decided.
+
+        Only the future (resolved after the backend's locked merge of the
+        whole record) or the loop's own expiry count: a backend sets
+        ``trial.state`` before the rest of the record, so reading
+        ``is_finished`` here could settle a trial mid-merge.
+        """
+        return self.future.done() or self.expired
 
 
 class _DispatchLoop:
@@ -430,6 +439,7 @@ class _DispatchLoop:
         self.executor.kill_trial(flight.trial, reason)
         expire_trial(flight.trial, flight.future,
                      self.config.trial_time_limit or 0.0, reason=reason)
+        flight.expired = True
 
     def expire_live(self, reason: str) -> None:
         for flight in self.in_flight:

@@ -1277,7 +1277,10 @@ class AntTuneServer:
         existing pool first; the pool is released only afterwards, and no new
         pool can be created once the server is closed.  A storage the server
         opened from a path is closed last (its SQLite connection and event
-        log segments); a :class:`StudyStorage` passed in stays open.
+        log segments) once every job has finished and every storage writer
+        has exited; with ``wait=False`` and jobs still draining it stays
+        open for them, and a later ``shutdown()`` closes it.  A
+        :class:`StudyStorage` passed in stays open.
 
         Args:
             wait: block until in-flight jobs drain before closing the pool.
@@ -1307,15 +1310,22 @@ class AntTuneServer:
         # finishing its last commits — join them so no trial rows are lost.
         # The timeout only bounds a wedged storage; writers are daemons.
         with self._writers_lock:
-            writers, self._writers = self._writers, []
+            writers = list(self._writers)
         for thread in writers:
             thread.join(timeout=10.0 if wait else 0.25)
+        with self._writers_lock:
+            # A writer still running stays tracked, so a later shutdown()
+            # joins it before closing the storage under it.
+            self._writers = [t for t in self._writers if t.is_alive()]
+            writing = bool(self._writers)
         log = self.event_log
         if log is not None:
             # Everything published above is already flushed per append; this
             # settles the stronger fsync durability before the process exits.
             log.flush()
-        if self._owns_storage:
+        with self._jobs_lock:
+            draining = any(not job.finished for job in self._jobs.values())
+        if self._owns_storage and not draining and not writing:
             self.storage.close()
 
     def __enter__(self) -> "AntTuneServer":

@@ -6,6 +6,7 @@ import re
 import threading
 import time
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.automl.events import (
     TrialReport,
     TrialStarted,
 )
+from repro.automl.executors import TrialExecutor
 from repro.automl.search_space import Choice, SearchSpace, Uniform
 from repro.automl.trial import TrialState
 
@@ -202,7 +204,54 @@ class TestAsyncScheduler:
             TrialScheduler().run(_study(space), lambda t: 0.0, None, 0, ["w"])
 
 
+class _SlowMergeExecutor(TrialExecutor):
+    """Records a trial's state first and the rest of its record later.
+
+    Mimics a backend merging a remote result: ``state`` is set inside the
+    locked block before value and intermediate values, and the future
+    resolves only after the block.
+    """
+
+    n_workers = 2
+
+    def submit(self, objective, trial, trial_time_limit=None):
+        future = Future()
+
+        def merge():
+            trial.started_at = time.perf_counter()
+            with trial._state_lock:
+                trial.state = TrialState.COMPLETED
+                time.sleep(0.2)  # the rest of the record is still merging
+                trial.value = 1.0
+                trial.duration_seconds = 0.2
+                trial.intermediate_values = [0.0, 1.0, 2.0]
+            future.set_result(trial)
+
+        threading.Thread(target=merge, daemon=True).start()
+        return future
+
+
 class TestEventContract:
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_trial_settles_only_after_its_record_merged(self, space, scheduler):
+        # A trial whose state is already terminal but whose future has not
+        # resolved is mid-merge: settling it then would publish no reports
+        # and tell the algorithm a COMPLETED trial without a value.
+        study = _study(space, n_trials=4)
+        told = []
+        tell = study.algorithm.tell
+        study.algorithm.tell = lambda trial: (told.append(trial.value),
+                                              tell(trial))
+        events = []
+        study._event_sink = events.append
+        study.optimize(lambda t: 1.0, executor=_SlowMergeExecutor(),
+                       scheduler=scheduler)
+        assert told == [1.0] * 4
+        for trial in study.trials:
+            steps = [e.step for e in events if isinstance(e, TrialReport)
+                     and e.trial_id == trial.trial_id]
+            assert steps == [0, 1, 2]
+
     @pytest.mark.parametrize("scheduler", ["round", "async"])
     def test_mixed_objectives_keep_per_trial_event_order(self, scheduler):
         # One trial of each kind: fast, failing-then-retried, a deadline

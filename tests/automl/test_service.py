@@ -257,6 +257,37 @@ class TestPersistence:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
+    def test_shutdown_without_wait_keeps_storage_for_draining_job(
+            self, space, tmp_path):
+        started, release = threading.Event(), threading.Event()
+
+        def objective(trial):
+            started.set()
+            release.wait(10.0)
+            return trial.params["x"]
+
+        server = AntTuneServer(num_workers=1,
+                               storage=str(tmp_path / "draining.db"))
+        job_id = server.submit(space, objective, config=StudyConfig(n_trials=2),
+                               study_name="draining")
+        assert started.wait(10.0)
+        server.shutdown(wait=False)
+        release.set()
+        server.wait(job_id, timeout=10.0)
+        storage = server.storage
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            summary = storage.list_studies()[0]
+            if summary["status"] == JobState.COMPLETED.value:
+                break
+            time.sleep(0.02)
+        # The job drained onto the still-open storage: every trial persisted.
+        assert summary["status"] == JobState.COMPLETED.value
+        assert summary["completed"] == 2
+        server.shutdown()  # nothing is draining now: the storage closes
+        with pytest.raises(sqlite3.ProgrammingError):
+            storage.list_studies()
+
     def test_caller_owned_storage_stays_open(self, space, tmp_path):
         with StudyStorage(str(tmp_path / "shared.db")) as storage:
             with AntTuneServer(num_workers=1, storage=storage) as server:

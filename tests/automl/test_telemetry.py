@@ -22,6 +22,7 @@ from repro.automl import (
     StudyStorage,
     make_executor,
 )
+from repro.automl.events import TrialReport
 from repro.automl.search_space import SearchSpace, Uniform
 from repro.automl.trial import (
     KILL_CANCELLED,
@@ -58,6 +59,13 @@ def _reporting_straggler(trial):
         trial.report(0.0)  # raises once the scheduler kills the trial
         time.sleep(0.05)
     return 0.0
+
+
+def _burst_reporter(trial):
+    """Reports 30 steps faster than one scheduler tick, then completes."""
+    for step in range(30):
+        trial.report(float(step))
+    return 1.0
 
 
 class TestKillSignals:
@@ -113,6 +121,25 @@ class TestMidTrialPruning:
         # The fast reference trials were untouched.
         assert all(study.trials[i].state == TrialState.COMPLETED
                    for i in range(2))
+
+    @pytest.mark.parametrize("scheduler", ["round", "async"])
+    def test_process_backend_reports_stream_completely(self, space, scheduler):
+        # Trials faster than one tick settle only after the backend merged
+        # their whole record: every trial's TrialReport stream equals its
+        # final intermediate values, and no COMPLETED trial lacks a value.
+        study = _study(space, n_trials=24)
+        events = []
+        study._event_sink = events.append
+        study.optimize(_burst_reporter, n_workers=2, backend="process",
+                       scheduler=scheduler)
+        for trial in study.trials:
+            assert trial.state == TrialState.COMPLETED
+            assert trial.value == 1.0
+            reports = [e for e in events if isinstance(e, TrialReport)
+                       and e.trial_id == trial.trial_id]
+            assert [e.step for e in reports] == list(range(30))
+            assert [e.value for e in reports] == trial.intermediate_values
+            assert trial.intermediate_values == [float(s) for s in range(30)]
 
     def test_thread_backend_objective_without_should_prune_is_stopped(self, space):
         # The objective only reports — it never calls trial.should_prune() —
