@@ -34,9 +34,11 @@ view onto that file — and, with ``--server URL``, onto a *live*
 
 ``list`` and ``show`` are read-only (WAL mode lets them run while a server
 checkpoints into the same file).  ``resume`` re-runs a study's remaining
-trial budget: because only *state* is persisted — never code — the search
-space and objective are imported from ``module:attribute`` references the
-caller provides.  ``delete`` drops a study and its trial rows after a
+trial budget as a job on an in-process tune server over the ``--db`` file, so
+it persists (and shows up in ``log``) exactly like a served job: because
+only *state* is persisted — never code — the search space and objective are
+imported from ``module:attribute`` references the caller provides.
+``delete`` drops a study and its trial rows after a
 confirmation prompt (``--yes`` skips it).  ``gc`` bulk-deletes terminal
 studies older than ``--max-age-days`` (``--dry-run`` previews, ``--states``
 narrows the statuses, ``--yes`` skips the prompt).
@@ -63,14 +65,12 @@ With ``--server URL`` the ``resume``/``list``/``show``/``cancel`` commands
 talk to a live server through the SDK client instead of touching any local
 file: ``resume`` *submits* the continuation into the live server (sharing
 its worker pool, fair-share governor and event bus) and streams the job's
-event feed until it finishes — completing the story where the old
-in-process resume ran outside the service.
+event feed until it finishes.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 import time
 from pathlib import Path
@@ -80,33 +80,6 @@ from repro.automl.storage import StudyStorage
 from repro.exceptions import TrialError
 
 __all__ = ["main", "build_parser"]
-
-
-def _load_object(spec: str) -> object:
-    """Import ``module:attribute`` (e.g. ``mypkg.search:objective``).
-
-    Args:
-        spec: dotted module path and attribute name joined by ``:``.
-
-    Returns:
-        The imported attribute.
-
-    Raises:
-        SystemExit: malformed spec, unimportable module or missing attribute
-            (argparse-style exit code 2).
-    """
-    module_name, sep, attr = spec.partition(":")
-    if not sep or not module_name or not attr:
-        raise SystemExit(f"error: expected 'module:attribute', got {spec!r}")
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise SystemExit(f"error: cannot import module {module_name!r}: {exc}")
-    try:
-        return getattr(module, attr)
-    except AttributeError:
-        raise SystemExit(
-            f"error: module {module_name!r} has no attribute {attr!r}")
 
 
 def _format_row(values: Sequence[object], widths: Sequence[int]) -> str:
@@ -166,30 +139,42 @@ def _cmd_show(storage: StudyStorage, args: argparse.Namespace,
 
 def _cmd_resume(storage: StudyStorage, args: argparse.Namespace,
                 out: Callable[[str], None]) -> int:
-    space = _load_object(args.space)
-    objective = _load_object(args.objective)
-    algorithm = _load_object(args.algorithm) if args.algorithm else None
-    if isinstance(algorithm, type) or (
-            callable(algorithm) and not hasattr(algorithm, "ask")):
-        algorithm = algorithm()  # a class/factory reference, not an instance
-    study = storage.load_study(args.name, space, algorithm=algorithm)
-    remaining = study.config.n_trials - study._resume_offset
+    """Run a stored study's remaining budget as a job on a local tune server.
+
+    The job persists exactly as a served one does (dispatch-loop
+    checkpoints, status rows, the durable event log next to ``--db``).
+    """
+    from repro.automl.remote.api import ProtocolError, instantiate_ref, load_ref
+    from repro.automl.server import AntTuneServer
+
+    try:
+        space = load_ref(args.space, "space")
+        objective = load_ref(args.objective, "objective")
+        algorithm = (instantiate_ref(args.algorithm, "algorithm")
+                     if args.algorithm else None)
+    except ProtocolError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    payload = storage.load_payload(args.name)
+    n_trials = payload["config"]["n_trials"]
+    remaining = n_trials - int(payload["budget_used"])
     if remaining <= 0:
         out(f"study {args.name!r} has no remaining trial budget")
         storage.set_status(args.name, "completed")
         return 0
-    out(f"resuming {args.name!r}: {remaining} of {study.config.n_trials} "
+    out(f"resuming {args.name!r}: {remaining} of {n_trials} "
         f"trial slots left")
-    checkpoint = lambda: storage.save_study(args.name, study, status="running")
-    try:
-        study.optimize(objective, n_workers=args.workers, backend=args.backend,
-                       checkpoint_fn=checkpoint)
-    except TrialError as exc:
-        storage.save_study(args.name, study, status="failed")
-        out(f"study failed: {exc}")
-        return 1
-    storage.save_study(args.name, study, status="completed")
-    best = study.best_trial
+    with AntTuneServer(num_workers=args.workers, backend=args.backend,
+                       storage=storage) as server:
+        job_id = server.resume(args.name, space, objective,
+                               algorithm=algorithm)
+        try:
+            best = server.wait(job_id)
+        except KeyboardInterrupt:
+            server.cancel(job_id)  # shutdown then drains the stopped job
+            raise
+        except TrialError as exc:
+            out(f"study failed: {exc}")
+            return 1
     out(f"done: best value {best.value:.6g} from trial {best.trial_id} "
         f"with params {best.params}")
     return 0

@@ -149,8 +149,8 @@ class TrialFinished(TrialEvent):
             (as its string value, e.g. ``"completed"``).
         value: the objective value (None unless completed).
         record: the full JSON-serialisable trial snapshot
-            (:meth:`~repro.automl.trial.Trial.as_record`) — what storage
-            persists off the stream.
+            (:meth:`~repro.automl.trial.Trial.as_record`) — what the
+            durable event log and stream consumers see of the trial.
     """
 
     trial_id: int

@@ -25,7 +25,6 @@ service:
   published as typed events (:mod:`repro.automl.events`) on one ordered bus,
   and :meth:`subscribe` follows it — iterator or callback form — ending with
   a terminal ``JobStateChanged`` on completion, failure or cancellation.
-  Storage persists trial history off the same stream.
 * ``submit(..., preempt=True)`` claims the new job's fair share immediately:
   co-tenants' youngest running trials beyond their new allowance are killed
   with the ``preempted`` reason and requeued by their own schedulers (no
@@ -34,7 +33,9 @@ service:
 * With a :class:`~repro.automl.storage.StudyStorage` attached, every job's
   study is checkpointed into SQLite as it runs, so a restarted server can
   list stored studies and :meth:`resume` them with only the remaining
-  trial budget.
+  trial budget.  The dispatch loop's checkpoint (after every round or
+  consumed budget slot) is the one path a running job's trial rows take to
+  storage; the job's status is written at enqueue, start and finish.
 
 Each job gets its own RNG stream derived from its job id (unless the caller
 passes ``rng=`` explicitly), so concurrently submitted jobs never explore
@@ -62,7 +63,6 @@ from repro.automl.events import (
     EventBus,
     JobStateChanged,
     Subscription,
-    TrialFinished,
 )
 from repro.automl.executors import EXECUTOR_BACKENDS, TrialExecutor, make_executor
 from repro.automl.pruners import Pruner
@@ -118,7 +118,6 @@ class TuneJob:
         preempt: whether the job claims its share immediately on start by
             killing (and requeueing) co-tenants' youngest excess trials.
         study_name: the name the job persists under (auto-generated default).
-        checkpoint_path: optional JSON checkpoint target.
         refs: ``module:attr`` code references (``space``/``objective``,
             optionally ``algorithm``/``pruner``) recorded in the event log so
             a restarted server can re-import the code and auto-resume the
@@ -139,7 +138,6 @@ class TuneJob:
     priority: float = 1.0
     preempt: bool = False
     study_name: Optional[str] = None
-    checkpoint_path: Optional[str] = None
     refs: Optional[Dict[str, str]] = None
     trace_id: Optional[str] = None
     state: JobState = JobState.QUEUED
@@ -208,7 +206,11 @@ class AntTuneServer:
                         else storage)
         self._jobs: Dict[int, TuneJob] = {}
         self._jobs_lock = threading.Lock()
-        self._next_job_id = itertools.count()
+        # Job ids continue after the highest one a previous process logged,
+        # so a new job never appends to an old job's event history.
+        log = None if self.storage is None else self.storage._existing_event_log()
+        logged = log.jobs() if log is not None else []
+        self._next_job_id = itertools.count(max(logged, default=-1) + 1)
         # Terminal snapshots of jobs that predate this process, reconstructed
         # by recover() from the event log + storage.  They have no TuneJob
         # (no live study/objective) but status()/jobs()/wait()/subscribe()
@@ -217,16 +219,12 @@ class AntTuneServer:
         self._recovered: Dict[int, Dict[str, object]] = {}
         self._governor = FairShareGovernor(num_workers)
         # One ordered event stream per job: every layer publishes onto this
-        # bus and subscribe()/storage persistence read from it.
+        # bus and subscribe()/the durable event log read from it.
         self._bus = EventBus()
         # Default study names embed a per-server-process nonce so a restarted
         # server never silently upserts over studies a previous process
         # persisted under the same job ids.
         self._instance_id = uuid.uuid4().hex[:8]
-        # Background storage-writer threads, one per persisted job; joined by
-        # shutdown() so no trial rows are lost at close.
-        self._writers: List[threading.Thread] = []
-        self._writers_lock = threading.Lock()
         self._executor: Optional[TrialExecutor] = None
         self._dispatcher: Optional[ThreadPoolExecutor] = None
         self._closed = False
@@ -299,7 +297,6 @@ class AntTuneServer:
                pruner: Optional[Pruner] = None,
                rng: Optional[np.random.Generator] = None,
                study_name: Optional[str] = None,
-               checkpoint_path: Optional[str] = None,
                priority: float = 1.0, preempt: bool = False,
                refs: Optional[Dict[str, str]] = None,
                trace_id: Optional[str] = None) -> int:
@@ -321,7 +318,6 @@ class AntTuneServer:
                 backend, including process pools.
             rng: explicit RNG stream (overrides the per-job seed).
             study_name: storage name; must be unique among active jobs.
-            checkpoint_path: optional JSON checkpoint target.
             priority: fair-share weight (> 0); a job with weight 4 holds
                 roughly 4x the trial slots of a weight-1 co-tenant.
             preempt: when True the job does not wait for co-tenants' trials
@@ -353,8 +349,8 @@ class AntTuneServer:
         study = Study(space, algorithm=algorithm, config=config, pruner=pruner,
                       rng=new_rng(rng if rng is not None else _job_seed(job_id)))
         return self._enqueue(job_id, study, objective, study_name,
-                             checkpoint_path, priority=priority,
-                             preempt=preempt, refs=refs, trace_id=trace_id)
+                             priority=priority, preempt=preempt, refs=refs,
+                             trace_id=trace_id)
 
     def resume(self, study_name: str, space: SearchSpace, objective: Objective,
                algorithm: Optional[SearchAlgorithm] = None,
@@ -365,7 +361,7 @@ class AntTuneServer:
         """Reload a persisted study from storage and enqueue its remainder.
 
         The study resumes with only the trial budget it had left when last
-        checkpointed; v2 checkpoints also restore the algorithm/RNG state so
+        checkpointed; the checkpoint also restores the algorithm/RNG state so
         the continuation replays as if never interrupted.  Cancelled studies
         may be resumed: their CANCELLED trials stay in the history and the
         unconsumed budget re-runs.
@@ -397,14 +393,13 @@ class AntTuneServer:
         study = self.storage.load_study(study_name, space, algorithm=algorithm,
                                         pruner=pruner)
         job_id = next(self._next_job_id)
-        return self._enqueue(job_id, study, objective, study_name, None,
+        return self._enqueue(job_id, study, objective, study_name,
                              priority=priority, preempt=preempt,
                              allow_stored=True, refs=refs, trace_id=trace_id)
 
     def _enqueue(self, job_id: int, study: Study, objective: Objective,
-                 study_name: Optional[str], checkpoint_path: Optional[str],
-                 priority: float = 1.0, preempt: bool = False,
-                 allow_stored: bool = False,
+                 study_name: Optional[str], priority: float = 1.0,
+                 preempt: bool = False, allow_stored: bool = False,
                  refs: Optional[Dict[str, str]] = None,
                  trace_id: Optional[str] = None) -> int:
         if priority <= 0:
@@ -414,7 +409,7 @@ class AntTuneServer:
                       workers=workers, priority=float(priority),
                       preempt=preempt,
                       study_name=study_name or f"job-{job_id}-{self._instance_id}",
-                      checkpoint_path=checkpoint_path, refs=refs,
+                      refs=refs,
                       trace_id=trace_id or _metrics.new_trace_id())
         if self.backend == "ticket":
             # Pull workers import the objective from its module:attr ref —
@@ -457,13 +452,6 @@ class AntTuneServer:
                          trace_id=job.trace_id)
             self._bus.subscribe(job_id, callback=log.append)
         if self.storage is not None:
-            # Trial history persists off the event stream: terminal trials
-            # land as rows shortly after their TrialFinished event publishes,
-            # between (and independent of) full payload checkpoints.  The
-            # writer is a background thread draining an iterator
-            # subscription, so storage commits never run on (or block) the
-            # publisher's thread.
-            self._start_storage_writer(job)
             try:
                 self.storage.save_study(job.study_name, study,
                                         status=JobState.QUEUED.value)
@@ -517,45 +505,6 @@ class AntTuneServer:
         self._bus.publish(JobStateChanged(
             state=job.state.value, error=job.error, terminal=terminal,
             job_id=job.job_id, trace_id=job.trace_id))
-
-    def _start_storage_writer(self, job: TuneJob) -> None:
-        """Persist this job's event stream from a background writer thread.
-
-        The writer drains an iterator subscription (subscribed before the
-        job's first event publishes, so it observes the whole stream) and
-        exits when the terminal event arrives — every lifecycle path
-        publishes one, so the thread never leaks.  :meth:`shutdown` joins the
-        writers, flushing any still-queued rows before the server closes.
-
-        Best effort by design: the dispatcher's checkpoint/finalise path
-        still saves the authoritative study payload, so a dying storage here
-        must neither crash the writer nor mark the job failed — and the
-        publisher's thread is never involved at all.  The subscription queue
-        is wide (8192 events) and only TrialFinished/JobStateChanged touch
-        storage; should an extreme burst still shed rows, the final
-        ``save_study`` backfills them.
-        """
-        subscription = self._bus.subscribe(job.job_id, max_queue=8192)
-        storage, name = self.storage, job.study_name
-
-        def drain() -> None:
-            for event in subscription:
-                try:
-                    if isinstance(event, TrialFinished):
-                        storage.record_trial(name, event.record)
-                    elif isinstance(event, JobStateChanged):
-                        storage.set_status(name, event.state)
-                except Exception:  # noqa: BLE001 - keep draining to terminal
-                    pass
-
-        thread = threading.Thread(target=drain, daemon=True,
-                                  name=f"anttune-storage-{job.job_id}")
-        with self._writers_lock:
-            # Finished jobs' writers have exited: prune them here so a
-            # long-lived server doesn't accumulate one dead Thread per job.
-            self._writers = [t for t in self._writers if t.is_alive()]
-            self._writers.append(thread)
-        thread.start()
 
     def subscribe(self, job_id: int,
                   callback: Optional[Callable[[Event], None]] = None,
@@ -710,10 +659,10 @@ class AntTuneServer:
         * **study missing from storage** — the rows were deleted behind the
           log; the orphan job log is dropped (*removed*).
 
-        Job-id allocation continues after the highest recovered id, so new
-        submits never collide with pre-crash ids.  Run this before serving
-        traffic (``RemoteTuneServer(recover=True)`` / ``serve --recover``
-        do); it must not race live publishes.
+        Job-id allocation already continues after the highest logged id
+        (see ``__init__``), so new submits never collide with pre-crash ids.
+        Run this before serving traffic (``RemoteTuneServer(recover=True)`` /
+        ``serve --recover`` do); it must not race live publishes.
 
         Returns:
             A summary dict with ``resumed``, ``finalised``, ``reconciled``
@@ -729,9 +678,7 @@ class AntTuneServer:
                              "event log; pass storage= to AntTuneServer")
         summary: Dict[str, List[Dict[str, object]]] = {
             "resumed": [], "finalised": [], "reconciled": [], "removed": []}
-        max_id = -1
         for job_id in log.jobs():
-            max_id = max(max_id, job_id)
             meta = log.meta(job_id) or {}
             name = meta.get("study_name")
             if not isinstance(name, str) or not self.storage.study_exists(name):
@@ -786,8 +733,6 @@ class AntTuneServer:
             summary["finalised"].append(
                 {"job_id": job_id, "study_name": name,
                  "state": JobState.FAILED.value, "error": error})
-        if max_id >= 0:
-            self._next_job_id = itertools.count(max_id + 1)
         return summary
 
     def _resume_recovered(self, job_id: int, name: str,
@@ -815,7 +760,7 @@ class AntTuneServer:
         self._bus.prime(job_id, last_seq + 1)
         string_refs = {key: str(value) for key, value in refs.items()}
         trace_id = meta.get("trace_id")
-        self._enqueue(job_id, study, objective, name, None,
+        self._enqueue(job_id, study, objective, name,
                       priority=float(meta.get("priority", 1.0)),
                       preempt=bool(meta.get("preempt", False)),
                       allow_stored=True, refs=string_refs,
@@ -911,10 +856,13 @@ class AntTuneServer:
             self._preempt_for(job)
         executor = GovernedExecutor(self.executor, self._governor, job.job_id)
         try:
+            if self.storage is not None:
+                # The stored status reads "running" from the start, not only
+                # from the first checkpoint.
+                self.storage.set_status(job.study_name, JobState.RUNNING.value)
             job.study.optimize(job.objective, executor=executor,
                                scheduler=self.scheduler,
                                worker_names=job.workers,
-                               checkpoint_path=job.checkpoint_path,
                                checkpoint_fn=checkpoint_fn)
             # The terminal transition takes the state lock so a concurrent
             # cancel() either lands before it (and wins: CANCELLED) or
@@ -1277,10 +1225,9 @@ class AntTuneServer:
         existing pool first; the pool is released only afterwards, and no new
         pool can be created once the server is closed.  A storage the server
         opened from a path is closed last (its SQLite connection and event
-        log segments) once every job has finished and every storage writer
-        has exited; with ``wait=False`` and jobs still draining it stays
-        open for them, and a later ``shutdown()`` closes it.  A
-        :class:`StudyStorage` passed in stays open.
+        log segments) once no job is draining; with ``wait=False`` and jobs
+        still draining it stays open for them, and a later ``shutdown()``
+        closes it.  A :class:`StudyStorage` passed in stays open.
 
         Args:
             wait: block until in-flight jobs drain before closing the pool.
@@ -1305,27 +1252,16 @@ class AntTuneServer:
             # close(), not shutdown(): a job still draining (wait=False) must
             # not silently rebuild the pool and leak its workers.
             executor.close()
-        # Flush-on-close: every finished job's terminal event has published
-        # by now (the dispatcher drained above), so its storage writer is
-        # finishing its last commits — join them so no trial rows are lost.
-        # The timeout only bounds a wedged storage; writers are daemons.
-        with self._writers_lock:
-            writers = list(self._writers)
-        for thread in writers:
-            thread.join(timeout=10.0 if wait else 0.25)
-        with self._writers_lock:
-            # A writer still running stays tracked, so a later shutdown()
-            # joins it before closing the storage under it.
-            self._writers = [t for t in self._writers if t.is_alive()]
-            writing = bool(self._writers)
         log = self.event_log
         if log is not None:
             # Everything published above is already flushed per append; this
             # settles the stronger fsync durability before the process exits.
             log.flush()
         with self._jobs_lock:
-            draining = any(not job.finished for job in self._jobs.values())
-        if self._owns_storage and not draining and not writing:
+            # _done, not finished: a job's terminal save follows its state.
+            draining = any(not job._done.is_set()
+                           for job in self._jobs.values())
+        if self._owns_storage and not draining:
             self.storage.close()
 
     def __enter__(self) -> "AntTuneServer":

@@ -5,11 +5,14 @@ can be listed and resumed.  :class:`StudyStorage` provides that durability on
 a single SQLite file (stdlib ``sqlite3``, no extra dependency):
 
 * ``studies`` holds one row per study — its name, algorithm, lifecycle status
-  and the full checkpoint-v2 payload (:meth:`repro.automl.study.Study.state_payload`)
+  and the full checkpoint payload (:meth:`repro.automl.study.Study.state_payload`)
   minus the trial history,
 * ``trials`` holds one row per trial, normalised so completed work can be
   queried (best value, state counts) without deserialising whole studies.
 
+A running tune job reaches this file through one path: its dispatch loop's
+checkpoint calls :meth:`save_study` after every round or consumed budget
+slot, and the server writes the job's status at enqueue, start and finish.
 Writes are transactional and serialised under an internal lock, so the tune
 server's concurrent job dispatcher threads can checkpoint different studies
 into the same storage.  File-backed databases run in SQLite's WAL journal
@@ -196,12 +199,11 @@ class StudyStorage:
              for record in records])
 
     def record_trial(self, name: str, record: Dict[str, object]) -> None:
-        """Upsert one trial row from its event-stream record.
+        """Upsert one trial row from a trial record.
 
-        This is the persistence path driven by the tune server's event bus: a
-        :class:`~repro.automl.events.TrialFinished` event carries the trial's
-        full record, which lands as a row the moment the event publishes —
-        between (and independent of) full study checkpoints.  The
+        Nothing in the service calls this: a running job's rows land through
+        :meth:`save_study`.  It exists only because ``perfbench/tune_server.py``
+        wraps it by name for its ``storage.checkpoint`` span.  The
         incremental-save cache is updated so a later :meth:`save_study` does
         not rewrite the row.
 

@@ -16,9 +16,12 @@ The systematic features described in the paper are modelled explicitly:
   configurable number of times without aborting the study),
 * parallel trial execution on a worker pool (``optimize(..., n_workers=4)``),
   mirroring the paper's dispatch of trials to distributed executors,
-* JSON checkpointing so an interrupted study can resume where it stopped —
-  version 2 checkpoints capture the algorithm's and study's RNG state, so a
-  resumed study replays *identically* to an uninterrupted one.
+* checkpointing so an interrupted study can resume where it stopped — the
+  payload (:meth:`Study.state_payload`) captures the algorithm's and study's
+  RNG state, so a resumed study replays *identically* to an uninterrupted
+  one.  ``optimize(checkpoint_fn=)`` is how the tune server persists a
+  running job into :class:`~repro.automl.storage.StudyStorage`;
+  ``optimize(checkpoint_path=)`` writes the same payload as a JSON file.
 
 Every run goes through the one dispatch loop of
 :mod:`repro.automl.scheduler`, whatever the worker count: ``n_workers=1``
@@ -60,8 +63,8 @@ __all__ = ["StudyConfig", "Study", "CHECKPOINT_VERSION"]
 
 Objective = Callable[[Trial], float]
 
-# v1: config, budget and trial history only.
-# v2: + algorithm internal state and RNG streams for bit-identical resume.
+# The only payload version read or written: config, budget, trial history,
+# algorithm internal state and RNG streams (for bit-identical resume).
 CHECKPOINT_VERSION = 2
 
 # ask/tell run under the study lock on the scheduling path: their latency is
@@ -307,10 +310,10 @@ class Study:
     # Checkpoint / resume
     # ------------------------------------------------------------------ #
     def state_payload(self) -> Dict[str, object]:
-        """The full JSON-serialisable study state (checkpoint v2 format).
+        """The full JSON-serialisable study state (checkpoint payload).
 
-        Besides the config, budget and trial history (v1), the payload carries
-        the algorithm's internal state and the study RNG stream so a resumed
+        Besides the config, budget and trial history, the payload carries the
+        algorithm's internal state and the study RNG stream so a resumed
         study asks exactly the configurations an uninterrupted run would have.
         """
         with self._lock:
@@ -330,9 +333,9 @@ class Study:
         The study must be freshly constructed with the same space, algorithm
         and config as the original run.  The trial history is rebuilt, finished
         trials are re-told to the algorithm, and the next :meth:`optimize`
-        call runs only the remaining trial budget.  Version 1 payloads (no
-        algorithm/RNG state) are accepted and migrated: history and budget are
-        restored, and the algorithm continues from its fresh-seeded state.
+        call runs only the remaining trial budget, and the saved RNG and
+        algorithm state continue exactly where the original run stopped.
+        Only :data:`CHECKPOINT_VERSION` payloads are accepted.
 
         Trials that were still in flight when the payload was captured (the
         async scheduler checkpoints while other slots keep running) carry no
@@ -340,7 +343,7 @@ class Study:
         zombie RUNNING entries, and their slots re-run on resume.
         """
         version = payload.get("version")
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise TrialError(f"unsupported study checkpoint version: {version!r}")
         saved_algorithm = payload.get("algorithm")
         if saved_algorithm != self.algorithm.name:
@@ -357,17 +360,11 @@ class Study:
                 (t.trial_id for t in self.trials), default=-1)
             self._resume_offset = int(payload["budget_used"])
             for trial in self.trials:
-                if trial.is_finished:
-                    self.algorithm.tell(trial)
-            # v2: saved state wins over whatever re-telling mutated — it was
+                self.algorithm.tell(trial)
+            # Saved state wins over whatever re-telling mutated — it was
             # captured *after* those tells in the original run.
-            if version >= 2:
-                rng_state = payload.get("rng_state")
-                if rng_state is not None:
-                    self._rng.bit_generator.state = rng_state
-                algorithm_state = payload.get("algorithm_state")
-                if algorithm_state is not None:
-                    self.algorithm.set_state(algorithm_state)
+            self._rng.bit_generator.state = payload["rng_state"]
+            self.algorithm.set_state(payload["algorithm_state"])
         return self
 
     def save_checkpoint(self, path: str) -> None:

@@ -149,6 +149,42 @@ class TestResume:
         assert code == 0
         assert "no remaining trial budget" in output
 
+    def test_resume_logs_its_job(self, tmp_path, helper_module):
+        import json
+
+        from repro.automl.events import (
+            JobStateChanged,
+            TrialFinished,
+            event_from_wire,
+        )
+
+        path = str(tmp_path / "s.db")
+        _store_study(path, "first", n_trials=4, run=1, status="failed")
+        _store_study(path, "second", n_trials=3, run=1, status="failed")
+        refs = ("--space", f"{helper_module}:SPACE",
+                "--objective", f"{helper_module}:objective",
+                "--algorithm", "repro.automl:RandomSearch")
+        for name in ("first", "second"):
+            code, output = _run_cli("--db", path, "resume", name, *refs)
+            assert code == 0, output
+        code, listing = _run_cli("--db", path, "log")
+        assert code == 0, listing
+        rows = [line.split() for line in listing.splitlines()[2:]]
+        # One job per resume; the second never reuses the first's id.
+        assert [(row[0], row[1], row[-1]) for row in rows] == [
+            ("0", "first", "completed"), ("1", "second", "completed")]
+        for job_id, remaining in (("0", 3), ("1", 2)):
+            code, dump = _run_cli("--db", path, "log", job_id)
+            assert code == 0, dump
+            events = [event_from_wire(json.loads(line))
+                      for line in dump.splitlines()]
+            assert [event.seq for event in events] == list(range(len(events)))
+            finished = [e for e in events if isinstance(e, TrialFinished)]
+            assert len(finished) == remaining
+            last = events[-1]
+            assert isinstance(last, JobStateChanged) and last.terminal
+            assert last.state == "completed"
+
     def test_bad_import_spec_exits(self, tmp_path):
         path = str(tmp_path / "s.db")
         _store_study(path, "x")

@@ -535,7 +535,12 @@ class TestBackpressureObservability:
 
 
 class TestStorageWriterThread:
-    """Trial rows persist via a background writer, flushed before close."""
+    """A running job's rows reach storage only through its checkpoints.
+
+    No per-job writer thread persists the event stream: the dispatch loop's
+    checkpoint writes trial rows, and the server writes the job's status at
+    enqueue, start and finish; rows are complete before shutdown closes.
+    """
 
     def test_rows_flushed_by_shutdown(self, space, tmp_path):
         path = str(tmp_path / "writer.db")
@@ -552,28 +557,62 @@ class TestStorageWriterThread:
             payload = storage.load_payload("writer-study")
             assert len(payload["trials"]) == 3
 
-    def test_commits_run_on_the_writer_thread_not_the_publisher(self, space):
-        storage = StudyStorage(":memory:")
-        commit_threads = []
-        original = storage.record_trial
+    def test_running_job_reaches_storage_only_through_checkpoints(
+            self, space, tmp_path, monkeypatch):
+        started, recorded, statuses = [], [], []
+        thread_start = threading.Thread.start
+        record_trial = StudyStorage.record_trial
+        set_status = StudyStorage.set_status
 
-        def spy(name, record):
-            commit_threads.append(threading.current_thread().name)
-            return original(name, record)
+        def spy_start(thread):
+            started.append(thread.name)
+            return thread_start(thread)
 
-        storage.record_trial = spy  # type: ignore[method-assign]
-        server = AntTuneServer(num_workers=2, backend="thread",
-                               storage=storage)
+        def spy_record(storage, name, record):
+            recorded.append(record["trial_id"])
+            return record_trial(storage, name, record)
+
+        def spy_status(storage, name, status):
+            statuses.append(status)
+            return set_status(storage, name, status)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        monkeypatch.setattr(StudyStorage, "record_trial", spy_record)
+        monkeypatch.setattr(StudyStorage, "set_status", spy_status)
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(trial):
+            entered.set()
+            assert release.wait(5.0), "trial never released"
+            return trial.params["x"]
+
+        path = str(tmp_path / "one-path.db")
+        server = AntTuneServer(num_workers=2, backend="thread", storage=path)
         try:
-            job_id = server.submit(space, lambda t: t.params["x"],
-                                   config=StudyConfig(n_trials=2),
-                                   study_name="bg-study")
+            job_id = server.submit(space, gated,
+                                   config=StudyConfig(n_trials=4),
+                                   study_name="one-path")
+            assert entered.wait(5.0), "no trial started"
+            # A gated trial blocks the first round: nothing checkpointed yet,
+            # yet the stored status already reads running.
+            with StudyStorage(path) as reader:
+                assert reader.study_status("one-path") == "running"
+            release.set()
             server.wait(job_id, timeout=10.0)
+            status = server.status(job_id)
+            with StudyStorage(path) as reader:
+                stored = reader.trial_state_counts("one-path")
+                assert reader.study_status("one-path") == "completed"
         finally:
+            release.set()
             server.shutdown()
-        assert commit_threads, "no trial rows were recorded off the stream"
-        assert all(name.startswith("anttune-storage")
-                   for name in commit_threads), commit_threads
+        assert status["num_trials"] == 4
+        assert stored == status["states"]
+        assert recorded == []
+        assert statuses == ["running"]
+        assert started, "the thread spy saw no thread start"
+        assert not [name for name in started
+                    if name.startswith("anttune-storage")], started
 
     def test_cancelled_queued_job_status_persists(self, space, tmp_path):
         path = str(tmp_path / "cancel.db")
